@@ -372,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oscspectra",
         description="Certify the spectral-projection identities of the harmonic "
         "oscillator in its Hermite and polar Laguerre eigenbases.",
-        epilog="OSC_SPECTRA_THREADS caps the coefficient-extraction fan-out width.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add_common(parser)

@@ -104,22 +104,13 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     if not 1 <= j <= basis.dim:
         raise ValueError(f"j must lie in 1..{basis.dim} for (n, s)=({n}, {s})")
     beta = n / 2.0 - 1.0 + s
-    solid = SolidHarmonic(n, s, _BasisRow(basis, j - 1))
+    solid = SolidHarmonic(n, s, basis.evaluators[j - 1].fn)
 
     def fn(p):
         r = np.linalg.norm(p, axis=1)
         return laguerre_fn(k, beta, r) * solid(p)
 
     return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})")
-
-
-class _BasisRow:
-    def __init__(self, basis, row):
-        self.basis = basis
-        self.row = row
-
-    def __call__(self, pts):
-        return self.basis.evaluate_all(pts)[self.row]
 
 
 def radial_harmonic_field(f0: Callable, solid: SolidHarmonic, label: str = "") -> ScalarField:

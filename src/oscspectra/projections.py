@@ -6,14 +6,14 @@ Functions enter as pure point-evaluators (ScalarField); nothing is gridded.
 Coefficients of a field against the polar basis are computed exactly as the
 polar factorization dictates: sphere-integrate f at each radial node to get
 F_{s,j}(r), then take the radial inner product against ell_k with the r^s
-factor folded into the radial weight (never dividing F by r^s).
+factor folded into the radial weight (never dividing F by r^s).  One radial
+rule against r^{n-1} dr serves every harmonic degree.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -55,6 +55,9 @@ __all__ = [
 # Nodes for the compact-support radial rule (per panel).
 _COMPACT_N = 48
 _COMPACT_PANELS = 6
+
+# Sphere-rule degree of field_norm_sq.
+_NORM_SPHERE_DEGREE = 40
 
 # Extra sphere-rule degree beyond the 2*m_max+2 Gram minimum, so fields with
 # harmonic content moderately above the truncation still integrate exactly
@@ -118,25 +121,7 @@ class SpectralCoefficients:
                 fh.close()
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("OSC_SPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _fanout(fn: Callable, items):
-    cap = _thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
-def hermite_coeffs(
-    f: ScalarField, m_max: int, rule: Optional[QuadratureRule] = None
-) -> SpectralCoefficients:
+def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     """All <f, h_alpha> with |alpha| <= m_max via a tensor Gauss rule.
 
     The separable structure of the rule collapses the n-dimensional sums to
@@ -145,95 +130,62 @@ def hermite_coeffs(
     n = f.n
     if n > 3:
         raise ValueError("hermite coefficient extraction is capped at n <= 3")
-    if rule is None:
-        rule = tensor_rule(gauss_hermite(LINE_N), n)
-    if rule.line is None or rule.ndim != n:
-        raise ContractViolationError("hermite_coeffs requires a tensor rule of dimension n")
-    line = rule.line
-    npts = len(line.nodes)
-    vals = f(rule.nodes).reshape((npts,) * n)
+    line = gauss_hermite(LINE_N)
+    c = f(tensor_rule(line, n).nodes).reshape((len(line.nodes),) * n)
     a = hermite_table(m_max, line.nodes) * line.weights
-    if n == 1:
-        c = a @ vals
-    elif n == 2:
-        c = np.einsum("ai,bj,ij->ab", a, a, vals, optimize=True)
-    else:
-        c = np.einsum("ai,bj,ck,ijk->abc", a, a, a, vals, optimize=True)
+    # each contraction eats the leading node axis and appends a degree axis,
+    # so after n of them the degree axes are back in order
+    for _ in range(n):
+        c = np.tensordot(c, a, axes=([0], [1]))
     entries = {alpha: float(c[alpha]) for m in range(m_max + 1) for alpha in multi_indices(n, m)}
     return SpectralCoefficients(n, "hermite", entries, m_max)
 
 
-def _degree_range(n: int, m_max: int):
-    top = min(1, m_max) if n == 1 else m_max
-    return range(top + 1)
-
-
-def default_radial_rules(
-    n: int, m_max: int, support_radius: Optional[float] = None, radial_n: int = RADIAL_N
-) -> Dict[int, QuadratureRule]:
-    """Radial rule per harmonic degree s.
+def default_radial_rules(n: int, support_radius: Optional[float] = None) -> QuadratureRule:
+    """The radial rule against r^{n-1} dr used by every polar integral.
 
     Gaussian-decay fields get the generalized Laguerre-type rule of order
-    beta = n/2 - 1 + s; compactly supported fields get a composite
-    Gauss-Legendre rule on [0, R], whose nodes actually cover the support.
+    beta = n/2 - 1, which integrates r^{2s} p(r^2) e^{-r^2} r^{n-1} exactly
+    for every harmonic degree s; compactly supported fields get a composite
+    Gauss-Legendre rule on [0, R], whose nodes actually cover the support,
+    with r^{n-1} folded into its weights.
     """
-    if support_radius is not None:
-        rule = radial_rule_compact(_COMPACT_N, support_radius, panels=_COMPACT_PANELS)
-        return {s: rule for s in _degree_range(n, m_max)}
-    return {s: gauss_radial(radial_n, n / 2.0 - 1.0 + s) for s in _degree_range(n, m_max)}
+    if support_radius is None:
+        return gauss_radial(RADIAL_N, n / 2.0 - 1.0)
+    rule = radial_rule_compact(_COMPACT_N, support_radius, panels=_COMPACT_PANELS)
+    return dataclasses.replace(
+        rule,
+        weights=rule.weights * rule.nodes ** (n - 1),
+        domain_tag=f"{rule.domain_tag}*r^{n - 1}",
+    )
 
 
-def polar_coeffs(
-    f: ScalarField,
-    m_max: int,
-    sphere: Optional[QuadratureRule] = None,
-    radial_rules: Optional[Dict[int, QuadratureRule]] = None,
-) -> SpectralCoefficients:
+def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     """All <f, phi_{k,s,j}> with s + 2k <= m_max.
 
+    f is evaluated once, on the radial x sphere grid of one radial rule.
     For each degree s, F_{s,j}(r) = <f(r .), Y_{s,j}> is formed by sphere
     quadrature at every radial node, then paired with ell_k^{n/2-1+s}
-    radially.  The r^{-s} deprojection of F is folded into the radial
+    radially.  The r^{+s} factor of phi_{k,s,j} is folded into the radial
     weight, so no division by a small radius ever happens.
     """
     n = f.n
     if n > 3:
         raise ValueError("polar coefficient extraction needs an explicit basis (n <= 3)")
-    if sphere is None:
-        sphere = sphere_rule(n, 2 * m_max + 2 + _SPHERE_BAND_MARGIN)
-    if radial_rules is None:
-        radial_rules = default_radial_rules(n, m_max, f.support_radius)
+    sphere = sphere_rule(n, 2 * m_max + 2 + _SPHERE_BAND_MARGIN)
+    radial = default_radial_rules(n, f.support_radius)
+    r = radial.nodes
+    fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
+    fv = fv.reshape(len(r), len(sphere.nodes))
     entries: Dict[tuple, float] = {}
-    sphere_pts = sphere.nodes
-    fvals_cache: Dict[int, np.ndarray] = {}
-
-    def values_at_radii(rule: QuadratureRule) -> np.ndarray:
-        key = id(rule)
-        if key not in fvals_cache:
-            pts = (rule.nodes[:, None, None] * sphere_pts[None, :, :]).reshape(-1, n)
-            fvals_cache[key] = f(pts).reshape(len(rule.nodes), len(sphere_pts))
-        return fvals_cache[key]
-
-    def channel(s: int):
-        rule = radial_rules[s]
-        basis = sph_basis(n, s)
-        ysph = basis.evaluate_all(sphere_pts) * sphere.weights
-        fv = values_at_radii(rule)
+    top = min(1, m_max) if n == 1 else m_max
+    for s in range(top + 1):
+        ysph = sph_basis(n, s).evaluate_all(sphere.nodes) * sphere.weights
         fsj = fv @ ysph.T  # (radial, d_s)
-        kmax = (m_max - s) // 2
-        beta = n / 2.0 - 1.0 + s
-        ell = laguerre_fn_table(kmax, beta, rule.nodes)
-        if rule.domain_tag.startswith("radial_compact"):
-            wfold = rule.weights * rule.nodes ** (n - 1 + s)
-        else:
-            wfold = rule.weights * rule.nodes ** (-s)
-        coeffs = (ell * wfold) @ fsj  # (kmax+1, d_s)
-        return s, coeffs
-
-    for s, coeffs in _fanout(channel, list(_degree_range(n, m_max))):
-        for k in range((m_max - s) // 2 + 1):
-            for j in range(coeffs.shape[1]):
-                entries[(k, s, j + 1)] = float(coeffs[k, j])
+        ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
+        coeffs = (ell * (radial.weights * r**s)) @ fsj  # (kmax+1, d_s)
+        for (k, j), value in np.ndenumerate(coeffs):
+            entries[(k, s, j + 1)] = float(value)
     return SpectralCoefficients(n, "polar", entries, m_max)
 
 
@@ -299,12 +251,7 @@ def project(
     return ScalarField(n, fn_p, label=f"proj[m={m},polar]({f.label})")
 
 
-def hecke_bochner(
-    f0: Callable,
-    solid: SolidHarmonic,
-    big_k: int,
-    radial_rule: Optional[QuadratureRule] = None,
-) -> Tuple[float, ScalarField]:
+def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:
     """Radial coefficient c = <f0, ell_K^{n/2-1+M}> in L2(r^{n-1+2M} dr) and
     the closed-form field c * ell_K(|x|) Y(x).
 
@@ -315,7 +262,7 @@ def hecke_bochner(
     """
     n, big_m = solid.n, solid.degree
     beta = n / 2.0 - 1.0 + big_m
-    rule = radial_rule or gauss_radial(RADIAL_N, beta)
+    rule = gauss_radial(RADIAL_N, beta)
     ell = laguerre_fn_table(big_k, beta, rule.nodes)[big_k]
     contrib = rule.weights * np.asarray(f0(rule.nodes), dtype=float) * ell
     scale = max(float(np.abs(contrib).max()), 1e-300)
@@ -410,27 +357,14 @@ def parseval_check(f: ScalarField, coeffs: SpectralCoefficients, norm_sq: float)
     return float(norm_sq) - coeffs.norm_sq()
 
 
-def field_norm_sq(
-    f: ScalarField,
-    sphere: Optional[QuadratureRule] = None,
-    radial: Optional[QuadratureRule] = None,
-    sphere_degree: int = 40,
-) -> float:
+def field_norm_sq(f: ScalarField) -> float:
     """Squared L2 norm of f by polar-factorized quadrature."""
     n = f.n
-    if sphere is None:
-        sphere = sphere_rule(n, sphere_degree)
-    if radial is None:
-        if f.support_radius is not None:
-            radial = radial_rule_compact(_COMPACT_N, f.support_radius, panels=_COMPACT_PANELS)
-        else:
-            radial = gauss_radial(RADIAL_N, n / 2.0 - 1.0)
-    pts = (radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n)
-    vals = f(pts).reshape(len(radial.nodes), len(sphere.nodes))
-    shell = (vals * vals) @ sphere.weights
-    if radial.domain_tag.startswith("radial_compact"):
-        return float(radial.weights @ (shell * radial.nodes ** (n - 1)))
-    return float(radial.weights @ shell)
+    sphere = sphere_rule(n, _NORM_SPHERE_DEGREE)
+    radial = default_radial_rules(n, f.support_radius)
+    vals = f((radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
+    vals = vals.reshape(len(radial.nodes), len(sphere.nodes))
+    return float(radial.weights @ ((vals * vals) @ sphere.weights))
 
 
 def fd_oscillator_apply(f: ScalarField, points, h: float) -> np.ndarray:

@@ -177,7 +177,7 @@ def radial_rule_compact(n: int, radius: float, panels: int = 4) -> QuadratureRul
 
     Used for coefficient extraction of compactly supported fields, where the
     Laguerre-weight rule places its nodes far outside the support.  Radial
-    measure factors (r^{n-1+s}) are applied by the caller.
+    measure factors such as r^{n-1} are applied by the caller.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

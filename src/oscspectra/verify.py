@@ -149,7 +149,6 @@ def polar_gram_defect(n, level_cap) -> float:
     for s in range(top + 1):
         basis = sph_basis(n, s)
         kmax = (level_cap - s) // 2
-        ell_nodes: Dict[float, np.ndarray] = {}
         chan.append((s, basis.evaluate_all(sphere.nodes), kmax))
     index = [
         (k, s, j)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -67,6 +68,26 @@ def test_polar_coeffs_eigenfield_orthonormality():
     c = polar_coeffs(f, 6)
     assert c.entries[(1, 2, 3)] == pytest.approx(1.0, abs=1e-10)
     assert offdiag_max(c, (1, 2, 3)) < 1e-10
+    # one radial rule of order n/2 - 1 is exact for every degree s up to m = 16
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        for m in (8, 12, 16):
+            f, exact = random_band_limited(n, m, rng)
+            c = polar_coeffs(f, m)
+            assert max(abs(v - exact.get(key, 0.0)) for key, v in c.entries.items()) < 1e-12
+
+
+def test_polar_coeffs_evaluates_field_once():
+    for n in (1, 2, 3):
+        for base in (gaussian_field(n), bump_field(n)):
+            sizes = []
+
+            def counted(p, fn=base.fn):
+                sizes.append(len(p))
+                return fn(p)
+
+            polar_coeffs(dataclasses.replace(base, fn=counted), 8)
+            assert len(sizes) == 1
 
 
 def test_polar_coeffs_even_field_kills_odd_channel_n1():
@@ -296,13 +317,3 @@ def test_polar_index_eigenvalue():
 
     assert PolarIndex(1, 2, 3).eigenvalue(3) == 3 + 2 * (2 + 2 * 1)
     assert PolarIndex(0, 0, 1).eigenvalue(1) == 1
-
-
-def test_threaded_fanout_matches_serial(monkeypatch):
-    f, _ = random_band_limited(2, 5, np.random.default_rng(41))
-    serial = polar_coeffs(f, 5)
-    monkeypatch.setenv("OSC_SPECTRA_THREADS", "4")
-    threaded = polar_coeffs(f, 5)
-    assert serial.entries.keys() == threaded.entries.keys()
-    for key, val in serial.entries.items():
-        assert threaded.entries[key] == pytest.approx(val, abs=1e-14)
