@@ -85,6 +85,19 @@ def _parse_tolerances(pairs, parser):
     return overrides
 
 
+def _int_at_least(low):
+    """argparse type for an integer option bounded below; a smaller value
+    is a usage error (exit 2), never a traceback."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _positive_dimension(parser, n, cap=None):
     if n < 1:
         parser.error(f"--n must be a positive dimension, got {n}")
@@ -94,8 +107,6 @@ def _positive_dimension(parser, n, cap=None):
 
 def cmd_verify(args, parser):
     _positive_dimension(parser, args.n)
-    if args.m_max < 0:
-        parser.error(f"--m-max must be nonnegative, got {args.m_max}")
     overrides = _parse_tolerances(args.tol, parser)
     rows = run_suite(args.n, args.m_max, seed=args.seed, tolerances=overrides)
     out = [
@@ -132,8 +143,6 @@ def cmd_verify(args, parser):
 
 def cmd_kernel(args, parser):
     _positive_dimension(parser, args.n)
-    if args.m < 0:
-        parser.error(f"--m must be nonnegative, got {args.m}")
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(-3.0, 3.0, size=(args.pairs, args.n))
     y = rng.uniform(-3.0, 3.0, size=(args.pairs, args.n))
@@ -228,8 +237,6 @@ def cmd_bench(args, parser):
     _positive_dimension(parser, args.n)
     rows = []
     for m in args.m:
-        if m < 0:
-            parser.error(f"--m must be nonnegative, got {m}")
         try:
             for rec in kernel_bench(args.n, m, args.trials, seed=args.seed):
                 rows.append(
@@ -389,35 +396,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the identity suite for one dimension")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=8)
+    p.add_argument("--m-max", type=_int_at_least(0), default=8)
 
     p = sub.add_parser("kernel", parents=[common], help="evaluate the kernel both ways at seeded pairs")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
+    p.add_argument("--pairs", type=_int_at_least(1), default=10)
 
     p = sub.add_parser("project", parents=[common], help="project a catalog field or gridded samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="projection level (default: the field's natural level)")
     p.add_argument("--field", help="catalog id, e.g. gauss | bump | hermite:gamma=(1,1) | hecke:M=2,K=1,f0=gauss")
     p.add_argument("--grid-file", help="CSV with header x1,..,xn,value")
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=_int_at_least(1), default=20)
 
     p = sub.add_parser("bench", parents=[common], help="term counts and timings, direct vs polar")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--m", type=_int_at_least(0), nargs="+", required=True)
+    p.add_argument("--trials", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("dims", parents=[common], help="dimension identity and span ranks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=30)
-    p.add_argument("--m", type=int, default=None, help="degree for --dump-span")
+    p.add_argument("--m-max", type=_int_at_least(0), default=30)
+    p.add_argument("--m", type=_int_at_least(0), default=None, help="degree for --dump-span")
     p.add_argument("--spans", action="store_true", help="add span-rank columns (n<=3, m<=8)")
     p.add_argument("--dump-span", choices=["hermite", "laguerre"])
 
     p = sub.add_parser("decay", parents=[common], help="coefficient-decay probe for a catalog field")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--levels", type=int, default=None)
+    p.add_argument("--levels", type=_int_at_least(0), default=None)
     p.add_argument("--field", default="bump")
     return parser
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .harmonics import SolidHarmonic, sph_basis
+from .harmonics import SolidHarmonic, dim_harmonic, sph_basis
 from .special_functions import hermite_fn_multi, laguerre_fn
 
 __all__ = [
@@ -141,9 +141,8 @@ def random_band_limited(
     indices = [
         (k, s, j)
         for s in range(m_max + 1)
-        if not (n == 1 and s > 1)
         for k in range((m_max - s) // 2 + 1)
-        for j in range(1, sph_basis(n, s).dim + 1)
+        for j in range(1, dim_harmonic(n, s) + 1)
     ]
     pick = rng.choice(len(indices), size=min(terms, len(indices)), replace=False)
     coeffs = {indices[i]: float(rng.standard_normal()) for i in sorted(pick)}

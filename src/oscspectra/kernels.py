@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .harmonics import zonal
+from .harmonics import dim_harmonic, zonal
 from .special_functions import hermite_table, laguerre_fn_table
 
 __all__ = [
@@ -142,7 +142,7 @@ def phi_polar_values(n: int, m: int, x, y) -> np.ndarray:
     both = np.concatenate([r, u])
     for k in range(m // 2 + 1):
         s = m - 2 * k
-        if n == 1 and s > 1:
+        if not dim_harmonic(n, s):
             continue
         beta = n / 2.0 - 1.0 + s
         ell = laguerre_fn_table(k, beta, both)[k]

@@ -192,7 +192,7 @@ def laguerre_harmonic_span(n: int, m: int) -> PolySpan:
     labels = []
     for k in range(m // 2 + 1):
         s = m - 2 * k
-        if n == 1 and s > 1:
+        if not dim_harmonic(n, s):
             continue
         beta = Fraction(n, 2) - 1 + s
         lag = _laguerre_coeffs_frac(k, beta)

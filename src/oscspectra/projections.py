@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolationError, IntegrabilityError
 from .fields import ScalarField, polar_eigenvalue
-from .harmonics import SolidHarmonic, sph_basis
+from .harmonics import SolidHarmonic, dim_harmonic, sph_basis
 from .kernels import multi_indices
 from .quadrature import (
     LINE_N,
@@ -178,8 +178,9 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
     fv = fv.reshape(len(r), len(sphere.nodes))
     entries: Dict[tuple, float] = {}
-    top = min(1, m_max) if n == 1 else m_max
-    for s in range(top + 1):
+    for s in range(m_max + 1):
+        if not dim_harmonic(n, s):
+            continue
         ysph = sph_basis(n, s).evaluate_all(sphere.nodes) * sphere.weights
         fsj = fv @ ysph.T  # (radial, d_s)
         ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
@@ -228,7 +229,7 @@ def project(
     channels = []
     for k in range(m // 2 + 1):
         s = m - 2 * k
-        if n == 1 and s > 1:
+        if not dim_harmonic(n, s):
             continue
         b = sph_basis(n, s)
         cvec = np.array([coeffs.entries.get((k, s, j + 1), 0.0) for j in range(b.dim)])
@@ -257,14 +258,16 @@ def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float
 
     The contract: this field equals the projection of f0(|x|) Y(x) onto the
     eigenvalue n + 2(M + 2K), and the projections at every other level of
-    matching data vanish.  Divergent radial integrands are rejected by a
-    node-tail magnitude check.
+    matching data vanish.  The r^{2M} factor is folded into the weights of
+    the one radial rule against r^{n-1} dr.  Divergent radial integrands are
+    rejected by a node-tail magnitude check.
     """
     n, big_m = solid.n, solid.degree
     beta = n / 2.0 - 1.0 + big_m
-    rule = gauss_radial(RADIAL_N, beta)
-    ell = laguerre_fn_table(big_k, beta, rule.nodes)[big_k]
-    contrib = rule.weights * np.asarray(f0(rule.nodes), dtype=float) * ell
+    rule = default_radial_rules(n)
+    r = rule.nodes
+    ell = laguerre_fn_table(big_k, beta, r)[big_k]
+    contrib = rule.weights * r ** (2 * big_m) * np.asarray(f0(r), dtype=float) * ell
     scale = max(float(np.abs(contrib).max()), 1e-300)
     tail = float(np.abs(contrib[-3:]).max())
     if tail > 1e-6 * scale:

@@ -3,11 +3,13 @@ a Gaussian-weight line rule, generalized radial rules for r^{2 beta + 1} dr
 integrals, sphere rules for n in {1, 2, 3}, and tensor assembly on R^n.
 
 Convention: integrands are supplied with their Gaussian factor included and
-the rules divide the weight function out internally, so applying a rule to a
-raw evaluator approximates the integral against the rule's plain measure
-(dx on the line and on R^n, r^{2 beta + 1} dr radially, dsigma on the
-sphere).  This avoids double-counting exp(-r^2) between Laguerre-type
-functions and the weight.
+the rules divide the weight function out, so applying a rule to a raw
+evaluator approximates the integral against the rule's plain measure (dx on
+the line and on R^n, r^{2 beta + 1} dr radially, dsigma on the sphere).
+This avoids double-counting exp(-r^2) between Laguerre-type functions and
+the weight.  Line and radial weights come straight from the orthonormal
+Hermite and Laguerre *functions*, 1 / sum_k psi_k(x_i)^2, never as a tiny
+Gauss weight times e^{x^2}, so rules of several hundred nodes stay finite.
 """
 
 from __future__ import annotations
@@ -85,65 +87,67 @@ class QuadratureRule:
                 fh.close()
 
 
-def _orthonormal_values(x, n_terms, a_fn, b_fn, mu0):
-    """Orthonormal-polynomial values p_0..p_{n_terms} and p'_{n_terms} at x.
+def _orthonormal_values(x, a, b, psi0):
+    """Orthonormal-function values psi_0..psi_{len(a)} at x.
 
-    Recurrence b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1},
-    p_0 = mu0^{-1/2}.
+    psi_k = sqrt(weight) p_k for the orthonormal polynomials p_k of the
+    weight, so the polynomial recurrence carries over unchanged:
+    b_{k+1} psi_{k+1} = (x - a_k) psi_k - b_k psi_{k-1}, with psi_0 = psi0(x)
+    and b = (b_1, .., b_{len(a)}).  The functions stay bounded where the
+    weight is tiny, which keeps rules of several hundred nodes finite.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.empty((n_terms + 1,) + x.shape)
-    dp = np.empty_like(p)
-    p[0] = mu0 ** -0.5
-    dp[0] = 0.0
-    prev = np.zeros_like(x)
-    dprev = np.zeros_like(x)
-    for k in range(n_terms):
-        bk1 = b_fn(k + 1)
-        p[k + 1] = ((x - a_fn(k)) * p[k] - b_fn(k) * prev) / bk1
-        dp[k + 1] = ((x - a_fn(k)) * dp[k] + p[k] - b_fn(k) * dprev) / bk1
-        prev, dprev = p[k], dp[k]
-    return p, dp
+    psi = np.empty((len(a) + 1,) + x.shape)
+    psi[0] = psi0(x)
+    prev, b_prev = 0.0, 0.0
+    for k, (ak, bk) in enumerate(zip(a, b)):
+        psi[k + 1] = ((x - ak) * psi[k] - b_prev * prev) / bk
+        prev, b_prev = psi[k], bk
+    return psi
 
 
-def _golub_welsch(n, a_fn, b_fn, mu0):
-    """Gauss nodes/weights for the orthonormal family (a_k, b_k, mu0).
+def _golub_welsch(a, b, psi0):
+    """Gauss nodes and weights from the recurrence (a_k, b_{k+1}), k < len(a).
 
-    Symmetric-tridiagonal eigensolve plus one Newton polish step on the
-    degree-n orthonormal polynomial; weights from the Christoffel function,
-    1 / sum_{k<n} p_k(x_i)^2.
+    Nodes: symmetric-tridiagonal eigensolve, then one Newton step on the
+    degree-n orthonormal polynomial with the derivative taken from the
+    Christoffel-Darboux identity at a zero of p_n,
+    delta = b_n psi_n psi_{n-1} / sum_{k<n} psi_k^2.  Weights: the reciprocal
+    Christoffel function of the orthonormal *functions*, 1 / sum_{k<n}
+    psi_k(x_i)^2, which is the Gauss weight with the weight function divided
+    out; no factor e^{x^2} is ever formed.
     """
-    diag = np.array([a_fn(k) for k in range(n)], dtype=float)
-    off = np.array([b_fn(k) for k in range(1, n)], dtype=float)
-    nodes, _ = eigh_tridiagonal(diag, off)
-    p, dp = _orthonormal_values(nodes, n, a_fn, b_fn, mu0)
-    nodes = nodes - p[n] / dp[n]
-    p, _ = _orthonormal_values(nodes, n, a_fn, b_fn, mu0)
-    weights = 1.0 / np.sum(p[:n] ** 2, axis=0)
-    return nodes, weights
+    nodes, _ = eigh_tridiagonal(a, b[:-1])
+    psi = _orthonormal_values(nodes, a, b, psi0)
+    nodes = nodes - b[-1] * psi[-1] * psi[-2] / np.sum(psi[:-1] ** 2, axis=0)
+    psi = _orthonormal_values(nodes, a[:-1], b[:-1], psi0)
+    return nodes, 1.0 / np.sum(psi**2, axis=0)
 
 
 def gauss_hermite(n: int) -> QuadratureRule:
     """n-point Gauss rule on the line, exact for p(x) e^{-x^2}, deg p <= 2n-1.
 
-    Stored weights carry the e^{x^2} factor, so raw Gaussian-decay
-    evaluators integrate against plain dx.
+    Weights come from the Hermite functions (psi_0 = pi^{-1/4} e^{-x^2/2}),
+    so raw Gaussian-decay evaluators integrate against plain dx.
     """
     if n < 1:
         raise ValueError("gauss_hermite requires n >= 1")
-    nodes, w = _golub_welsch(n, lambda k: 0.0, lambda k: math.sqrt(k / 2.0), math.sqrt(math.pi))
+    k = np.arange(1.0, n + 1)
+    nodes, w = _golub_welsch(
+        np.zeros(n), np.sqrt(k / 2.0), lambda x: math.pi**-0.25 * np.exp(-0.5 * x * x)
+    )
     # enforce exact symmetry about the origin
     nodes = 0.5 * (nodes - nodes[::-1])
-    w = 0.5 * (w + w[::-1])
-    weights = w * np.exp(nodes * nodes)
+    weights = 0.5 * (w + w[::-1])
     return QuadratureRule(nodes, weights, "gauss_hermite_line", 2 * n - 1)
 
 
 def gauss_radial(n: int, beta: float) -> QuadratureRule:
     """n-point rule for integrals over (0, inf) against r^{2 beta + 1} dr.
 
-    Built from the generalized Gauss-Laguerre rule of parameter beta via
-    t = r^2 (an extra factor 1/2); exact whenever the integrand equals
+    The generalized Gauss-Laguerre rule of parameter beta in t = r^2, with
+    weights from the Laguerre functions ell_k^beta(r) of
+    ``special_functions`` (psi_0 = sqrt(2 / Gamma(beta+1)) e^{-t/2}, which
+    absorbs the Jacobian dt = 2 r dr); exact whenever the integrand equals
     p(r^2) e^{-r^2} with deg p <= 2n-1.
     """
     if n < 1:
@@ -151,24 +155,21 @@ def gauss_radial(n: int, beta: float) -> QuadratureRule:
     beta = float(beta)
     if not beta > -1.0:
         raise ValueError(f"gauss_radial requires beta > -1, got {beta}")
-    mu0 = math.exp(math.lgamma(beta + 1.0))
-    t, w = _golub_welsch(
-        n,
-        lambda k: 2 * k + beta + 1,
-        lambda k: math.sqrt(k * (k + beta)),
-        mu0,
+    k = np.arange(1.0, n + 1)
+    log_c0 = 0.5 * (math.log(2.0) - math.lgamma(beta + 1.0))
+    t, weights = _golub_welsch(
+        2 * k - 1 + beta, np.sqrt(k * (k + beta)), lambda t: np.exp(log_c0 - 0.5 * t)
     )
-    nodes = np.sqrt(t)
-    weights = 0.5 * w * np.exp(t)
-    return QuadratureRule(nodes, weights, f"radial(beta={beta:g})", 2 * n - 1)
+    return QuadratureRule(np.sqrt(t), weights, f"radial(beta={beta:g})", 2 * n - 1)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] (weight function 1)."""
     if n < 1:
         raise ValueError("gauss_legendre requires n >= 1")
+    k = np.arange(1.0, n + 1)
     return _golub_welsch(
-        n, lambda k: 0.0, lambda k: k / math.sqrt(4.0 * k * k - 1.0) if k else 0.0, 2.0
+        np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), lambda x: np.full_like(x, 0.5**0.5)
     )
 
 

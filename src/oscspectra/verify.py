@@ -19,10 +19,11 @@ import numpy as np
 
 from . import fields as fl
 from . import polyspaces as ps
-from .harmonics import sph_basis, zonal
+from .harmonics import dim_harmonic, sph_basis, zonal
 from .kernels import phi_direct_values, phi_polar_values
 from .projections import (
     coefficient_decay_probe,
+    default_radial_rules,
     eigen_order_study,
     field_norm_sq,
     hecke_bochner,
@@ -30,7 +31,7 @@ from .projections import (
     polar_coeffs,
     project,
 )
-from .quadrature import gauss_hermite, gauss_radial, sphere_rule, tensor_rule
+from .quadrature import gauss_hermite, sphere_rule, tensor_rule
 from .special_functions import laguerre_fn_table
 
 __all__ = ["CheckRow", "DEFAULT_TOLERANCES", "run_suite", "polar_gram_defect"]
@@ -110,8 +111,8 @@ def check_spans(n, m_max, tol) -> CheckRow:
 def check_addition_theorem(n, s_max, seed, tol, pairs=100) -> CheckRow:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    top = min(1, s_max) if n == 1 else s_max
-    for s in range(top + 1):
+    degrees = [s for s in range(s_max + 1) if dim_harmonic(n, s)]
+    for s in degrees:
         basis = sph_basis(n, s)
         a = rng.standard_normal((pairs, n))
         a /= np.linalg.norm(a, axis=1)[:, None]
@@ -120,15 +121,15 @@ def check_addition_theorem(n, s_max, seed, tol, pairs=100) -> CheckRow:
         lhs = np.einsum("jp,jp->p", basis.evaluate_all(a), basis.evaluate_all(b))
         rhs = zonal(n, s, np.sum(a * b, axis=1))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return _row("zon", f"addition theorem, s<={top}, {pairs} pairs", n, worst, tol)
+    return _row("zon", f"addition theorem, s<={degrees[-1]}, {pairs} pairs", n, worst, tol)
 
 
 def check_reproducing(n, s_max, seed, tol) -> CheckRow:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    top = min(1, s_max) if n == 1 else s_max
-    rule = sphere_rule(n, 2 * top + 2)
-    for s in range(top + 1):
+    degrees = [s for s in range(s_max + 1) if dim_harmonic(n, s)]
+    rule = sphere_rule(n, 2 * degrees[-1] + 2)
+    for s in degrees:
         basis = sph_basis(n, s)
         yvals = basis.evaluate_all(rule.nodes)
         poles = rng.standard_normal((8, n))
@@ -137,51 +138,31 @@ def check_reproducing(n, s_max, seed, tol) -> CheckRow:
         recon = zmat * rule.weights @ yvals.T  # (poles, dim)
         direct = basis.evaluate_all(poles).T
         worst = max(worst, float(np.abs(recon - direct).max()))
-    return _row("zon", f"reproducing property, s<={top}", n, worst, tol)
+    return _row("zon", f"reproducing property, s<={degrees[-1]}", n, worst, tol)
 
 
 def polar_gram_defect(n, level_cap) -> float:
     """Max entrywise deviation from identity of the polar-basis Gram over
-    all indices with s + 2k <= level_cap, via polar-factorized quadrature."""
-    top = min(1, level_cap) if n == 1 else level_cap
-    sphere = sphere_rule(n, 2 * top + 2)
-    chan = []
-    for s in range(top + 1):
-        basis = sph_basis(n, s)
-        kmax = (level_cap - s) // 2
-        chan.append((s, basis.evaluate_all(sphere.nodes), kmax))
-    index = [
-        (k, s, j)
-        for s, yv, kmax in chan
-        for k in range(kmax + 1)
-        for j in range(1, yv.shape[0] + 1)
-    ]
-    size = len(index)
-    gram = np.zeros((size, size))
-    offsets = {}
-    pos = 0
-    for s, yv, kmax in chan:
-        offsets[s] = pos
-        pos += (kmax + 1) * yv.shape[0]
-    for s1, yv1, kmax1 in chan:
-        beta1 = n / 2.0 - 1.0 + s1
-        for s2, yv2, kmax2 in chan:
-            if s2 < s1:
-                continue
-            beta2 = n / 2.0 - 1.0 + s2
-            cross = (yv1 * sphere.weights) @ yv2.T  # (d1, d2)
-            rad_rule = gauss_radial(40, (s1 + s2 + n) / 2.0 - 1.0)
-            l1 = laguerre_fn_table(kmax1, beta1, rad_rule.nodes)
-            l2 = laguerre_fn_table(kmax2, beta2, rad_rule.nodes)
-            rad = (l1 * rad_rule.weights) @ l2.T  # (kmax1+1, kmax2+1)
-            for k1 in range(kmax1 + 1):
-                for k2 in range(kmax2 + 1):
-                    block = rad[k1, k2] * cross
-                    r0 = offsets[s1] + k1 * yv1.shape[0]
-                    c0 = offsets[s2] + k2 * yv2.shape[0]
-                    gram[r0 : r0 + yv1.shape[0], c0 : c0 + yv2.shape[0]] = block
-                    gram[c0 : c0 + yv2.shape[0], r0 : r0 + yv1.shape[0]] = block.T
-    return float(np.abs(gram - np.eye(size)).max())
+    all indices with s + 2k <= level_cap, via polar-factorized quadrature.
+
+    Index order is (s, k, j).  Each (s1, s2) block is the Kronecker product
+    of a radial Gram, on the one radial rule with r^{s1+s2} folded into its
+    weights, and a sphere Gram of the two harmonic bases.  r^{s1+s2} is a
+    polynomial in r^2 unless s1 + s2 is odd, where the sphere Gram vanishes.
+    """
+    degrees = [s for s in range(level_cap + 1) if dim_harmonic(n, s)]
+    sphere = sphere_rule(n, 2 * degrees[-1] + 2)
+    radial = default_radial_rules(n)
+    r = radial.nodes
+    ys = {s: sph_basis(n, s).evaluate_all(sphere.nodes) for s in degrees}
+    ells = {s: laguerre_fn_table((level_cap - s) // 2, n / 2.0 - 1.0 + s, r) for s in degrees}
+
+    def block(s1, s2):
+        rad = (ells[s1] * (radial.weights * r ** (s1 + s2))) @ ells[s2].T
+        return np.kron(rad, (ys[s1] * sphere.weights) @ ys[s2].T)
+
+    gram = np.block([[block(s1, s2) for s2 in degrees] for s1 in degrees])
+    return float(np.abs(gram - np.eye(len(gram))).max())
 
 
 def check_polar_gram(n, level_cap, tol) -> CheckRow:
@@ -224,8 +205,9 @@ def check_eigen_orders(n, level_cap, seed, bound) -> CheckRow:
     rng = np.random.default_rng(seed)
     cap = min(level_cap, 8)
     worst = math.inf
-    top = min(1, cap) if n == 1 else cap
-    for s in range(top + 1):
+    for s in range(cap + 1):
+        if not dim_harmonic(n, s):
+            continue
         for k in range((cap - s) // 2 + 1):
             j = int(rng.integers(1, sph_basis(n, s).dim + 1))
             phi = fl.polar_eigenfield(n, k, s, j)
@@ -259,7 +241,7 @@ def check_rotation(n, m_cap, seed, tol, count=10, reflections=3) -> CheckRow:
 
 def check_hecke(n, m_cap, seed, tol, tol_off) -> tuple[CheckRow, CheckRow]:
     rng = np.random.default_rng(seed)
-    big_m_max = min(1 if n == 1 else 4, m_cap)
+    big_m_max = max(s for s in range(min(4, m_cap) + 1) if dim_harmonic(n, s))
     worst = 0.0
     worst_off = 0.0
     pts_rng = np.random.default_rng(seed + 1)
@@ -286,32 +268,31 @@ def check_hecke(n, m_cap, seed, tol, tol_off) -> tuple[CheckRow, CheckRow]:
 
 def check_factorization(n, seed, tol, tol_cross) -> tuple[CheckRow, CheckRow]:
     """Inner products of f0(|x|) Y(x) pairs: full tensor quadrature against
-    the radial-times-sphere product (the polar-coordinates factorization)."""
+    the radial-times-sphere product (the polar-coordinates factorization).
+
+    Each of the 2 |degrees| fields is evaluated once on the tensor grid:
+    the weighted g fields are stacked, and each f field gives one row of
+    pairwise integrals, so only one f array is held next to them.  The
+    radial part uses the one radial rule with r^{2s} folded into its
+    weights."""
     rng = np.random.default_rng(seed)
-    rule = tensor_rule(gauss_hermite(48), n)
+    grid = tensor_rule(gauss_hermite(48), n)
     sphere = sphere_rule(n, 12)
+    radial = default_radial_rules(n)
+    r = radial.nodes
+    degrees = [s for s in range(4) if dim_harmonic(n, s)]
+    solids = [fl.random_solid_harmonic(n, s, rng) for s in degrees]
+    gw = np.empty((len(solids), len(grid.weights)))
+    for i, y in enumerate(solids):
+        gw[i] = fl.radial_harmonic_field(fl.f0_gauss, y)(grid.nodes) * grid.weights
+    full = np.array([gw @ fl.radial_harmonic_field(fl.f0_gauss_poly, y)(grid.nodes) for y in solids])
+    rad_f0 = radial.weights * fl.f0_gauss_poly(r) * fl.f0_gauss(r)
     worst_eq = 0.0
-    worst_cross = 0.0
-    degrees = [0, 1] if n == 1 else [0, 1, 2, 3]
-    solids = {s: fl.random_solid_harmonic(n, s, rng) for s in degrees}
-    for s1 in degrees:
-        for s2 in degrees:
-            f = fl.radial_harmonic_field(fl.f0_gauss_poly, solids[s1])
-            g = fl.radial_harmonic_field(fl.f0_gauss, solids[s2])
-            full = rule.integrate(lambda p: f(p) * g(p))
-            sph_part = float(
-                sphere.weights
-                @ (solids[s1].sphere_fn(sphere.nodes) * solids[s2].sphere_fn(sphere.nodes))
-            )
-            rad_rule = gauss_radial(60, (s1 + s2 + n) / 2.0 - 1.0)
-            rad_part = float(
-                rad_rule.weights
-                @ (fl.f0_gauss_poly(rad_rule.nodes) * fl.f0_gauss(rad_rule.nodes))
-            )
-            if s1 == s2:
-                worst_eq = max(worst_eq, abs(full - rad_part * sph_part))
-            else:
-                worst_cross = max(worst_cross, abs(full))
+    for i, (s, y) in enumerate(zip(degrees, solids)):
+        sph_part = float(sphere.weights @ y.sphere_fn(sphere.nodes) ** 2)
+        worst_eq = max(worst_eq, abs(full[i, i] - float(rad_f0 @ r ** (2 * s)) * sph_part))
+    np.fill_diagonal(full, 0.0)
+    worst_cross = float(np.abs(full).max())
     return (
         _row("Th", "polar factorization of inner products, equal degrees", n, worst_eq, tol),
         _row("Th", "inner products vanish across harmonic degrees", n, worst_cross, tol_cross),

@@ -101,9 +101,32 @@ def test_bench_skips_oversized_rows(capsys):
     assert any(r["note"] == "" for r in rows)
 
 
-def test_bench_rejects_negative_level(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--n", "2", "--m", "-3"],
+        ["bench", "--n", "2", "--m", "1", "--trials", "0"],
+        ["kernel", "--n", "2", "--m", "1", "--pairs", "-1"],
+        ["project", "--n", "2", "--field", "gauss", "--m", "0", "--points", "-1"],
+        ["project", "--n", "2", "--field", "gauss", "--m", "0", "--points", "0"],
+        ["decay", "--n", "2", "--levels", "-1"],
+        ["dims", "--n", "2", "--m-max", "-1"],
+        ["dims", "--n", "2", "--dump-span", "hermite", "--m", "-1"],
+    ],
+    ids=[
+        "bench-m",
+        "bench-trials",
+        "kernel-pairs",
+        "project-points",
+        "project-no-points",
+        "decay-levels",
+        "dims-m-max",
+        "dims-dump-span-m",
+    ],
+)
+def test_bench_rejects_negative_level(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bench", "--n", "2", "--m", "-3"])
+        main(argv)
     assert exc.value.code == 2
 
 

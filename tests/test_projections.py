@@ -31,7 +31,8 @@ from oscspectra.projections import (
     project,
     rotation_commutes,
 )
-from oscspectra.quadrature import gauss_hermite, tensor_rule
+from oscspectra.quadrature import RADIAL_N, QuadratureRule, gauss_hermite, tensor_rule
+from oscspectra.verify import run_suite
 
 
 def offdiag_max(coeffs, key):
@@ -88,6 +89,32 @@ def test_polar_coeffs_evaluates_field_once():
 
             polar_coeffs(dataclasses.replace(base, fn=counted), 8)
             assert len(sizes) == 1
+
+
+def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_once(monkeypatch):
+    radial, grids, grid_calls = [], [], []
+    post_init, call = QuadratureRule.__post_init__, ScalarField.__call__
+
+    def record_rule(rule):
+        post_init(rule)
+        if rule.domain_tag.startswith("radial"):
+            radial.append((rule.domain_tag, len(rule.nodes)))
+        elif rule.domain_tag.startswith("tensor"):
+            grids.append(rule.nodes)
+
+    def record_call(field, points):
+        grid_calls.extend(field for g in grids if points is g)
+        return call(field, points)
+
+    monkeypatch.setattr(QuadratureRule, "__post_init__", record_rule)
+    monkeypatch.setattr(ScalarField, "__call__", record_call)
+    for n, degrees in ((1, 2), (2, 4), (3, 4)):
+        del radial[:], grids[:], grid_calls[:]
+        run_suite(n, 8)
+        one_rule = (f"radial(beta={n / 2 - 1:g})", RADIAL_N)
+        assert radial and all(t == one_rule or t[0].startswith("radial_compact") for t in radial)
+        # check_factorization: f0 * Y_s and g0 * Y_s per degree, not per pair
+        assert len(grids) == 1 and len(grid_calls) == 2 * degrees
 
 
 def test_polar_coeffs_even_field_kills_odd_channel_n1():

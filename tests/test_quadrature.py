@@ -15,14 +15,17 @@ from oscspectra.quadrature import (
     sphere_rule,
     tensor_rule,
 )
-from oscspectra.special_functions import hermite_fn_multi, laguerre_fn
+from oscspectra.special_functions import hermite_fn_multi, hermite_table, laguerre_fn_table
 
 
 def test_gauss_hermite_total_mass():
-    for n in (1, 2, 8, 64):
+    for n in (1, 2, 8, 64, 400, 600):
         rule = gauss_hermite(n)
         got = rule.integrate(lambda x: np.exp(-x * x))
         assert got == pytest.approx(math.sqrt(math.pi), abs=1e-14)
+        # the full Gram of the Hermite functions, including the largest rules
+        vals = hermite_table(n - 1, rule.nodes)
+        assert np.abs((vals * rule.weights) @ vals.T - np.eye(n)).max() < 1e-13
 
 
 def test_gauss_hermite_second_moment():
@@ -66,13 +69,12 @@ def test_gauss_radial_moments(beta):
         assert got == pytest.approx(math.gamma(j + beta + 1) / 2, rel=1e-12)
 
 
-def test_gauss_radial_laguerre_orthonormality():
+@pytest.mark.parametrize("size", (80, 200, 340))
+def test_gauss_radial_laguerre_orthonormality(size):
     beta = 0.5
-    rule = gauss_radial(80, beta)
-    e0 = rule.integrate(lambda r: laguerre_fn(0, beta, r) ** 2)
-    e01 = rule.integrate(lambda r: laguerre_fn(0, beta, r) * laguerre_fn(1, beta, r))
-    assert e0 == pytest.approx(1.0, abs=1e-13)
-    assert abs(e01) < 1e-13
+    rule = gauss_radial(size, beta)
+    vals = laguerre_fn_table(size - 1, beta, rule.nodes)
+    assert np.abs((vals * rule.weights) @ vals.T - np.eye(size)).max() < 1e-13
 
 
 def test_gauss_radial_rejects_bad_order():
