@@ -14,13 +14,16 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .errors import ResourceLimitError
 from .fields import parse_field_id, ScalarField
-from .kernels import kernel_bench, multi_index_count, phi_direct, phi_polar
+from .kernels import (
+    kernel_bench, multi_index_count, phi_direct_values, phi_polar_values, polar_term_count
+)
 from .polyspaces import dimension_identity, hermite_span, laguerre_harmonic_span, spans_equal
 from .projections import coefficient_decay_probe, hermite_coeffs, polar_coeffs, project
 from .quadrature import (
@@ -146,19 +149,15 @@ def cmd_kernel(args, parser):
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(-3.0, 3.0, size=(args.pairs, args.n))
     y = rng.uniform(-3.0, 3.0, size=(args.pairs, args.n))
+    direct = phi_direct_values(args.n, args.m, x, y)
+    polar = phi_polar_values(args.n, args.m, x, y)
+    rel = np.abs(direct - polar) / (1.0 + np.abs(direct))
+    terms = dict(terms_direct=multi_index_count(args.n, args.m), terms_polar=polar_term_count(args.m))
     rows = []
     for i in range(args.pairs):
-        direct = phi_direct(args.n, args.m, x[i], y[i])
-        polar = phi_polar(args.n, args.m, x[i], y[i])
         row = {f"x{d + 1}": x[i, d] for d in range(args.n)}
         row.update({f"y{d + 1}": y[i, d] for d in range(args.n)})
-        row.update(
-            phi_direct=direct.value,
-            phi_polar=polar.value,
-            rel_diff=abs(direct.value - polar.value) / (1.0 + abs(direct.value)),
-            terms_direct=direct.terms_evaluated,
-            terms_polar=polar.terms_evaluated,
-        )
+        row.update(phi_direct=direct[i], phi_polar=polar[i], rel_diff=rel[i], **terms)
         rows.append(row)
     cols = (
         [f"x{d + 1}" for d in range(args.n)]
@@ -235,34 +234,10 @@ def cmd_project(args, parser):
 
 def cmd_bench(args, parser):
     _positive_dimension(parser, args.n)
-    rows = []
-    for m in args.m:
-        try:
-            for rec in kernel_bench(args.n, m, args.trials, seed=args.seed):
-                rows.append(
-                    {
-                        "n": rec.n,
-                        "m": rec.m,
-                        "method": rec.method,
-                        "terms": rec.terms,
-                        "nanos_per_eval": rec.nanos_per_eval,
-                        "max_rel_diff": rec.max_rel_diff,
-                        "note": "",
-                    }
-                )
-        except ResourceLimitError as exc:
-            rows.append(
-                {
-                    "n": args.n,
-                    "m": m,
-                    "method": "direct",
-                    "terms": multi_index_count(args.n, m),
-                    "nanos_per_eval": "",
-                    "max_rel_diff": "",
-                    "note": f"skipped: {exc}",
-                }
-            )
-    cols = ["n", "m", "method", "terms", "nanos_per_eval", "max_rel_diff", "note"]
+    rows = [
+        asdict(rec) for m in args.m for rec in kernel_bench(args.n, m, args.trials, seed=args.seed)
+    ]
+    cols = ["n", "m", "method", "terms", "nanos_per_eval", "max_rel_diff"]
     _write_rows(rows, cols, args, "bench")
     return EXIT_OK
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oscspectra.cli import main
+from oscspectra.kernels import multi_index_count
 
 
 def run_cli(argv, capsys):
@@ -71,10 +72,21 @@ def test_kernel_rows_and_agreement(capsys):
     assert all(int(r["terms_polar"]) == 4 for r in rows)
 
 
-def test_kernel_resource_cap_exit_code(capsys):
-    code, _, err = run_cli(["kernel", "--n", "6", "--m", "80"], capsys)
+def test_resource_cap_exit_code(capsys):
+    code, _, err = run_cli(["dims", "--n", "4", "--dump-span", "hermite", "--m", "2"], capsys)
     assert code == 3
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize("m", (40, 80))
+def test_kernel_n6_returns(m, capsys):
+    # 1.2 M and 33 M multi-indices: the direct sum never lists them
+    code, out, _ = run_cli(["kernel", "--n", "6", "--m", str(m), "--pairs", "50"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 50
+    assert all(int(r["terms_direct"]) == math.comb(m + 5, 5) for r in rows)
+    assert all(float(r["rel_diff"]) < 1e-8 for r in rows)
 
 
 def test_bench_term_counts(capsys):
@@ -93,12 +105,17 @@ def test_bench_n1_counts_honest_both_directions(capsys):
     assert int(rows["polar"]["terms"]) == 3
 
 
-def test_bench_skips_oversized_rows(capsys):
+def test_bench_reports_both_methods_at_large_levels(capsys):
     code, out, _ = run_cli(["bench", "--n", "6", "--m", "80", "4", "--trials", "4"], capsys)
     assert code == 0
     rows = parse_csv(out)
-    assert any("skipped" in r["note"] for r in rows)
-    assert any(r["note"] == "" for r in rows)
+    assert sorted((int(r["m"]), r["method"]) for r in rows) == [
+        (4, "direct"), (4, "polar"), (80, "direct"), (80, "polar")
+    ]
+    for r in rows:
+        if r["method"] == "direct":
+            assert int(r["terms"]) == multi_index_count(6, int(r["m"]))
+        assert float(r["max_rel_diff"]) < 1e-8
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from oscspectra.kernels import (
     phi_polar_values,
     polar_term_count,
 )
+from oscspectra.special_functions import hermite_fn_multi
 
 
 def test_multi_indices_listing_n2_m2():
@@ -63,6 +64,34 @@ def test_phi_direct_symmetric():
     assert np.array_equal(
         phi_direct_values(2, 5, x, y), phi_direct_values(2, 5, y, x)
     )
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_phi_direct_matches_enumerated_sum(n):
+    # the explicit sum over multi_indices is the oracle for the nested grouping
+    rng = np.random.default_rng(200 + n)
+    x = np.vstack([np.zeros(n), rng.uniform(-3, 3, size=(6, n))])
+    y = np.vstack([rng.uniform(-3, 3, size=(1, n)), np.zeros(n), rng.uniform(-3, 3, size=(5, n))])
+    for m in range(11):
+        terms = np.array([hermite_fn_multi(a, x) * hermite_fn_multi(a, y) for a in multi_indices(n, m)])
+        got = phi_direct_values(n, m, x, y)
+        assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0))
+
+
+def test_phi_direct_n6_m40_matches_polar():
+    rng = np.random.default_rng(640)
+    x = rng.uniform(-3, 3, size=(1000, 6))
+    y = rng.uniform(-3, 3, size=(1000, 6))
+    d = phi_direct_values(6, 40, x, y)
+    p = phi_polar_values(6, 40, x, y)
+    assert (np.abs(d - p) / (1 + np.abs(d))).max() < 1e-8
+
+
+@pytest.mark.parametrize("fn", (phi_direct_values, phi_polar_values))
+@pytest.mark.parametrize("n, m", ((0, 2), (2, -1)))
+def test_kernel_values_reject_bad_dimension_or_level(fn, n, m):
+    with pytest.raises(ValueError):
+        fn(n, m, np.ones(2), np.ones(2))
 
 
 def test_phi_polar_ground_level_matches_direct():
