@@ -38,6 +38,7 @@ from .harmonics import (
     sphere_descriptor,
     surface_measure,
     zonal,
+    zonal_table,
 )
 from .kernels import (
     BenchRecord,
@@ -86,9 +87,11 @@ from .quadrature import (
 )
 from .special_functions import (
     gegenbauer,
+    gegenbauer_table,
     hermite_fn,
     hermite_fn_multi,
     hermite_table,
+    laguerre_antidiagonal_table,
     laguerre_fn,
     laguerre_fn_table,
     laguerre_poly,

@@ -16,7 +16,7 @@ from typing import Callable, List
 import numpy as np
 
 from .errors import DegenerateDegreeError, DimensionMismatchError
-from .special_functions import gegenbauer
+from .special_functions import gegenbauer_table
 
 __all__ = [
     "SphereDescriptor",
@@ -24,6 +24,7 @@ __all__ = [
     "surface_measure",
     "dim_harmonic",
     "zonal",
+    "zonal_table",
     "HarmonicBasis",
     "SphericalHarmonic",
     "SolidHarmonic",
@@ -70,35 +71,48 @@ def dim_harmonic(n: int, s: int) -> int:
     return hi - lo
 
 
-def zonal(n: int, s: int, t):
-    """Zonal harmonic Z_s evaluated at t = x'.y' in [-1, 1].
+def zonal_table(n: int, s_max: int, t) -> np.ndarray:
+    """Zonal harmonics Z_s(t) for s = 0..s_max from one sweep over s, shape
+    (s_max+1,) + t.shape, at t = x'.y' in [-1, 1].
 
     Z_s is the reproducing kernel of the degree-s harmonic subspace of
     L2 on the sphere; it depends on the two poles only through their inner
     product.  Closed forms:
-        n = 1:  Z_0 = 1/2,  Z_1(t) = t/2;
+        n = 1:  Z_0 = 1/2,  Z_1(t) = t/2,  Z_s = 0 for s >= 2 (no harmonics);
         n = 2:  Z_0 = 1/(2 pi),  Z_s(t) = cos(s arccos t)/pi  (s >= 1);
         n >= 3: Z_s(t) = ((2s+n-2)/(n-2)) C_s^{(n-2)/2}(t) / omega_{n-1}.
     """
-    if s < 0:
-        raise ValueError(f"degree must be nonnegative, got {s}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    if s_max < 0:
+        raise ValueError(f"degree must be nonnegative, got {s_max}")
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("zonal argument must lie in [-1, 1]")
+    t = np.clip(t, -1.0, 1.0)
+    degrees = np.arange(s_max + 1).reshape((-1,) + (1,) * t.ndim)
     if n == 1:
-        if s >= 2:
-            raise DegenerateDegreeError(f"n=1 has no harmonics of degree {s}")
-        out = np.full_like(t, 0.5) if s == 0 else 0.5 * t
+        out = np.zeros((s_max + 1,) + t.shape)
+        out[0] = 0.5
+        out[1:2] = 0.5 * t
     elif n == 2:
-        if s == 0:
-            out = np.full_like(t, 1.0 / (2.0 * math.pi))
-        else:
-            out = np.cos(s * np.arccos(np.clip(t, -1.0, 1.0))) / math.pi
+        out = degrees * np.arccos(t)
+        np.cos(out, out=out)
+        out /= math.pi
+        out[0] = 1.0 / (2.0 * math.pi)
     else:
-        scale = (2.0 * s + n - 2.0) / (n - 2.0) / surface_measure(n)
-        out = scale * np.asarray(gegenbauer(s, (n - 2) / 2.0, np.clip(t, -1.0, 1.0)))
-    return float(out) if scalar else out
+        out = gegenbauer_table(s_max, (n - 2) / 2.0, t)
+        out *= (2.0 * degrees + n - 2.0) / (n - 2.0) / surface_measure(n)
+    return out
+
+
+def zonal(n: int, s: int, t):
+    """Zonal harmonic Z_s(t), the last row of zonal_table; n = 1 has no
+    harmonics of degree s >= 2."""
+    if n == 1 and s >= 2:
+        raise DegenerateDegreeError(f"n=1 has no harmonics of degree {s}")
+    out = zonal_table(n, s, t)[s]
+    return float(out) if out.ndim == 0 else out
 
 
 def _as_unit_points(points, n):

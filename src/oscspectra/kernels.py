@@ -4,6 +4,8 @@ zonal-collapsed sum with floor(m/2) + 1 terms.  Their pointwise equality is
 the library's central certified identity, and the term-count asymmetry is
 exposed as a benchmark.  The direct sum is taken as nested per-axis sums,
 without listing multi-indices: O(n m^2) work and O(n m) memory per pair.
+The polar sum takes all its Laguerre and zonal factors from one recurrence
+each: O(m) work and memory per pair.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .harmonics import dim_harmonic, zonal
-from .special_functions import hermite_table, laguerre_fn_table
+from .harmonics import zonal_table
+from .special_functions import hermite_table, laguerre_antidiagonal_table
 
 __all__ = [
     "KernelResult",
@@ -33,10 +35,9 @@ __all__ = [
 ]
 
 _INDEX_CAP = 10**7
-
-# Above this level the polar term (two Laguerre factors times (ru)^s times a
-# zonal value) is combined in log space before exponentiation.
-_LOG_SPACE_LEVEL = 30
+# Polar summands below e^-700 (about 1e-304) are dropped: np.exp is many
+# times slower where its result would be subnormal.
+_LOG_DROP = -700.0
 
 
 class KernelResult(NamedTuple):
@@ -121,51 +122,66 @@ def polar_term_count(m: int) -> int:
     return m // 2 + 1
 
 
-def _signed_log(values):
-    out = np.full(values.shape, -np.inf)
-    nz = values != 0
-    out[nz] = np.log(np.abs(values[nz]))
-    return out, np.sign(values)
+def _log_polar_norms(kmax: int, a: float) -> np.ndarray:
+    """log N_k = log(2 k! / Gamma(a-k+1)) for k = 0..kmax.
+
+    a + 1 is an integer or a half-integer, so both log-Gammas are cumulative
+    sums of logs; summed in extended precision (np.longdouble) they round
+    correctly, up to 2e-17 from the rounding of pi, where a difference of
+    two math.lgamma values near k = kmax, both about log(kmax!), is off by
+    up to several hundred ulp.
+    """
+    ext = np.longdouble
+    z0 = (a + 1.0) % 1.0 or 1.0  # a + 1 = z0 + top with z0 in {1/2, 1}
+    top = int(a + 1.0 - z0)
+    log_gamma = np.concatenate([[ext(0)], np.cumsum(np.log(z0 + np.arange(top, dtype=ext)))])
+    if z0 != 1.0:
+        log_gamma += np.log(ext(math.pi)) / 2  # Gamma(1/2) = sqrt(pi)
+    log_fact = np.concatenate([[ext(0)], np.cumsum(np.log(np.arange(1, kmax + 1, dtype=ext)))])
+    k = np.arange(kmax + 1)
+    return (np.log(ext(2)) + log_fact - log_gamma[top - k]).astype(float)
 
 
 def phi_polar_values(n: int, m: int, x, y) -> np.ndarray:
     """Polar kernel sum over k <= floor(m/2) of
-    ell_k(r) ell_k(u) (ru)^{m-2k} Z_{m-2k}(x'.y'), with r = |x|, u = |y|.
+    ell_k(r) ell_k(u) (ru)^s Z_s(x'.y'), s = m - 2k, with r = |x|, u = |y|.
 
-    At r = 0 or u = 0 only the degree-0 summand survives (the continuous
-    limit); for n = 1 the summands of harmonic degree >= 2 vanish
-    identically because those harmonic spaces are trivial.
+    With a = n/2 - 1 + m, the order of the k-th Laguerre factor is a - 2k,
+    so each summand is N_k g_k(r^2) g_k(u^2) (ru)^s Z_s(x'.y') with
+    N_k = 2 k! / Gamma(a-k+1) and g_k = L_k^{(a-2k)} e^{-x/2}.  One
+    anti-diagonal recurrence gives every g_k on both sides and one sweep
+    over s gives every Z_s: O(m) work per pair.  The factors are multiplied
+    in signed-log space, so neither N_k nor (ru)^s under- or overflows on
+    its own.  At r = 0 or u = 0 only the degree-0 summand survives (the
+    continuous limit); for n = 1 the zonal rows of degree >= 2 are zero.
+    From m of about 1470 on the factors g_k overflow, which raises
+    ResourceLimitError.
     """
     x, y = _check_points(n, m, x, y)
-    r = np.linalg.norm(x, axis=1)
-    u = np.linalg.norm(y, axis=1)
-    ru = r * u
-    dot = np.sum(x * y, axis=1)
-    t = np.divide(dot, ru, out=np.zeros_like(ru), where=ru > 0)
-    t = np.clip(t, -1.0, 1.0)
-    total = np.zeros_like(ru)
-    log_space = m > _LOG_SPACE_LEVEL
-    both = np.concatenate([r, u])
-    for k in range(m // 2 + 1):
-        s = m - 2 * k
-        if not dim_harmonic(n, s):
-            continue
-        beta = n / 2.0 - 1.0 + s
-        ell = laguerre_fn_table(k, beta, both)[k]
-        lr, lu = ell[: len(r)], ell[len(r) :]
-        z = np.asarray(zonal(n, s, t))
-        if s == 0:
-            total += lr * lu * z
-        elif log_space:
-            factors = np.stack([lr, lu, z])
-            logs, signs = _signed_log(factors)
-            pos = ru > 0
-            logsum = np.sum(logs, axis=0) + s * np.log(np.where(pos, ru, 1.0))
-            term = np.prod(signs, axis=0) * np.exp(logsum)
-            total += np.where(pos, term, 0.0)
-        else:
-            total += lr * lu * ru**s * z
-    return total
+    r2 = np.sum(x * x, axis=1)
+    u2 = np.sum(y * y, axis=1)
+    ru = np.sqrt(r2 * u2)
+    t = np.divide(np.sum(x * y, axis=1), ru, out=np.zeros_like(ru), where=ru > 0)
+    kmax = m // 2
+    a = n / 2.0 - 1.0 + m
+    s = np.arange(m, -1, -2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logs = np.multiply.outer(s, np.log(ru))  # log (ru)^s
+        logs[s == 0] = 0.0  # (ru)^0 = 1, also at ru = 0
+        logs += _log_polar_norms(kmax, a)[:, None]
+        z = zonal_table(n, m, t)[m::-2]  # row k holds Z_{m-2k}
+        signs = np.sign(z)
+        logs += np.log(np.abs(z))
+        del z  # the full zonal table goes before the Laguerre table is built
+        g = laguerre_antidiagonal_table(kmax, a, np.concatenate([r2, u2]))
+        if not np.all(np.isfinite(g)):
+            raise ResourceLimitError(f"Laguerre factors overflow at level m={m}")
+        for side in (g[:, : len(ru)], g[:, len(ru) :]):
+            signs *= np.sign(side)
+            logs += np.log(np.abs(side))
+    signs *= logs > _LOG_DROP
+    np.maximum(logs, _LOG_DROP, out=logs)
+    return np.einsum("kp,kp->p", signs, np.exp(logs, out=logs))
 
 
 def phi_polar(n: int, m: int, x, y) -> KernelResult:

@@ -20,9 +20,11 @@ __all__ = [
     "laguerre_poly",
     "laguerre_fn",
     "laguerre_fn_table",
+    "laguerre_antidiagonal_table",
     "hermite_fn",
     "hermite_table",
     "hermite_fn_multi",
+    "gegenbauer_table",
     "gegenbauer",
 ]
 
@@ -101,6 +103,57 @@ def laguerre_fn(k: int, beta: float, r):
     return float(val) if scalar else val
 
 
+def laguerre_antidiagonal_table(kmax: int, a: float, x) -> np.ndarray:
+    """Values g_k(x) = L_k^{(a-2k)}(x) exp(-x/2) for k = 0..kmax, shape
+    (kmax+1,) + x.shape: Laguerre functions along an anti-diagonal of
+    (degree, order).  The k-th summand of the polar kernel at level m carries
+    L_k^{(n/2-1+s)} with s = m - 2k, that is a = n/2 - 1 + m.
+
+    One forward recurrence gives all of them,
+        g_0 = e^{-x/2},  g_1 = (a - 1 - x) e^{-x/2},
+        g_{k+1} = (a_k + b_k x) g_k + c_k x^2 g_{k-1},
+    with alpha = a - 2k and D = (k+1)(k+alpha):
+        a_k = alpha (alpha-1) / D,
+        b_k = -alpha (a+1) / ((alpha+1) D),
+        c_k = (1-alpha) / ((alpha+1) D).
+    The factor e^{-x/2} keeps every value below C(a-k, k) in size (Szegő's
+    bound for orders >= 0), where the bare polynomials overflow near
+    x = 2m at levels m of several hundred.
+
+    Derivation from the contiguous relations of DLMF section 18.9,
+        (i)   L_n^{(b)} = L_n^{(b+1)} - L_{n-1}^{(b+1)},
+        (ii)  x L_n^{(b+1)} = (n+b+1) L_n^{(b)} - (n+1) L_{n+1}^{(b)},
+        (iii) x d/dx L_n^{(b)} = n L_n^{(b)} - (n+b) L_{n-1}^{(b)},
+              d/dx L_n^{(b)} = -L_{n-1}^{(b+1)}.
+    Write u = L_k^{(alpha)} and v = L_{k-1}^{(alpha+1)}.  By (i),
+    L_k^{(alpha+1)} = u + v, so (ii) at n = k-1, b = alpha+1 gives
+        x L_{k-1}^{(alpha+2)} = (alpha+1) v - k u.
+    (iii) gives L_{k-1}^{(alpha)} = (k u + x v)/(k+alpha); then (i) gives
+    L_k^{(alpha-1)} = (alpha u - x v)/(k+alpha), (ii) at b = alpha-1 gives
+    L_{k+1}^{(alpha-1)} = ((k+alpha) L_k^{(alpha-1)} - x u)/(k+1), and (i)
+    once more gives
+        L_{k+1}^{(alpha-2)} = L_{k+1}^{(alpha-1)} - L_k^{(alpha-1)}
+                            = ((alpha (alpha-1) - (k+alpha) x) u + (1-alpha) x v) / D.
+    Eliminating v with the first identity yields a_k, b_k and c_k.  For the
+    kernel's range, 2k + 2 <= m, every factor of the denominators is positive:
+    k + alpha = a - k > 0 and alpha + 1 > 0.
+    """
+    kmax = _check_degree(kmax)
+    a = float(a)
+    x, _ = _as_float_array(x)
+    out = np.empty((kmax + 1,) + x.shape, dtype=float)
+    out[0] = np.exp(-0.5 * x)
+    if kmax >= 1:
+        out[1] = (a - 1.0 - x) * out[0]
+    x2 = x * x
+    for k in range(1, kmax):
+        alpha = a - 2 * k
+        d = (k + 1) * (k + alpha)
+        out[k + 1] = ((alpha * (alpha - 1) - alpha * (a + 1) / (alpha + 1) * x) * out[k]
+                      + (1 - alpha) / (alpha + 1) * x2 * out[k - 1]) / d
+    return out
+
+
 def hermite_table(kmax: int, x) -> np.ndarray:
     """Orthonormal Hermite-function values h_k(x), k = 0..kmax.
 
@@ -151,22 +204,29 @@ def hermite_fn_multi(alpha, x):
     return float(vals[0]) if single else vals
 
 
-def gegenbauer(s: int, lam: float, t):
-    """Gegenbauer polynomial C_s^lam(t) in the generating-function
-    normalization: C_0 = 1, C_1 = 2 lam t,
+def gegenbauer_table(smax: int, lam: float, t) -> np.ndarray:
+    """Gegenbauer values C_s^lam(t) for s = 0..smax, shape (smax+1,) + t.shape,
+    in the generating-function normalization: C_0 = 1, C_1 = 2 lam t,
         s C_s = 2 t (s+lam-1) C_{s-1} - (s+2 lam-2) C_{s-2}.
     """
-    s = _check_degree(s)
+    smax = _check_degree(smax)
     lam = float(lam)
     if not lam > 0:
         raise ValueError(f"Gegenbauer parameter must be positive, got {lam}")
-    t, scalar = _as_float_array(t)
+    t, _ = _as_float_array(t)
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("gegenbauer argument must lie in [-1, 1]")
-    prev = np.ones_like(t)
-    if s == 0:
-        return float(prev) if scalar else prev
-    cur = 2.0 * lam * t
-    for j in range(2, s + 1):
-        prev, cur = cur, (2 * t * (j + lam - 1) * cur - (j + 2 * lam - 2) * prev) / j
-    return float(cur) if scalar else cur
+    out = np.empty((smax + 1,) + t.shape, dtype=float)
+    out[0] = 1.0
+    if smax >= 1:
+        out[1] = 2.0 * lam * t
+    for j in range(2, smax + 1):
+        out[j] = (2 * t * (j + lam - 1) * out[j - 1] - (j + 2 * lam - 2) * out[j - 2]) / j
+    return out
+
+
+def gegenbauer(s: int, lam: float, t):
+    """Gegenbauer polynomial C_s^lam(t), the last row of gegenbauer_table."""
+    t, scalar = _as_float_array(t)
+    val = gegenbauer_table(s, lam, t)[s]
+    return float(val) if scalar else val

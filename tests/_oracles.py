@@ -1,6 +1,6 @@
-"""Independent oracles for the test suite: power-series evaluations and
-finite-difference residuals, kept deliberately separate from the recurrence
-implementations they check.
+"""Independent oracles for the test suite: power-series evaluations,
+finite-difference residuals and the O(m^2) per-term polar kernel, kept
+deliberately separate from the recurrence implementations they check.
 
 The series run in exact rational arithmetic (the orders used in the tests
 are rational and a float argument is an exact binary rational), so the
@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from oscspectra.harmonics import dim_harmonic, zonal
 
 
 def laguerre_series(k, beta, t):
@@ -73,3 +75,46 @@ def fd_laplacian(fn, pts, h):
             -along(2 * h) + 16 * along(h) - 30 * fn(pts) + 16 * along(-h) - along(-2 * h)
         ) / (12 * h * h)
     return total
+
+
+def phi_polar_per_term(n, m, x, y):
+    """Polar kernel by the O(m^2) per-term sum: for each k <= floor(m/2), the
+    normalized Laguerre recurrence of order n/2 - 1 + s run from degree 0,
+    times (ru)^s and the zonal value Z_s, s = m - 2k.
+
+    The sum runs in long double (x86-64 extended precision), whose range
+    holds every factor at the levels and radii of the tests, so it needs no
+    log space; at (n, m) = (3, 600) on [-3, 3]^3 it stays within 9e-15 of
+    the direct sum, where the same sum in float64 and signed logs is off by
+    up to 1.9e-13 (rows with y = x).  t = x'.y' is formed in float64 as
+    x.y / sqrt(|x|^2 |y|^2), as in phi_polar_values: near t = +-1, Z_s moves
+    by about s^2 eps per rounding of t, so both sums must take t the same
+    way for the comparison to measure their radial factors."""
+    ext = np.longdouble
+    x = np.asarray(x, dtype=float).reshape(-1, n)
+    y = np.asarray(y, dtype=float).reshape(-1, n)
+    r2 = np.sum(x * x, axis=1)
+    u2 = np.sum(y * y, axis=1)
+    ru = np.sqrt(r2 * u2)
+    t = np.divide(np.sum(x * y, axis=1), ru, out=np.zeros_like(ru), where=ru > 0)
+    sq = np.concatenate([r2, u2]).astype(ext)
+    ru_ext = np.sqrt(sq[: len(ru)] * sq[len(ru) :])
+    total = np.zeros(len(ru), dtype=ext)
+    for k in range(m // 2 + 1):
+        s = m - 2 * k
+        if not dim_harmonic(n, s):
+            continue
+        beta = ext(n) / 2 - 1 + s
+        # Gamma(beta + 1) as a product down to Gamma(1) or Gamma(1/2)
+        gamma = np.prod(beta - np.arange(int(beta + (n % 2) / 2), dtype=ext))
+        if n % 2:
+            gamma *= np.sqrt(ext(math.pi))
+        prev = np.zeros_like(sq)
+        cur = np.sqrt(2 / gamma) * np.exp(-sq / 2)
+        for j in range(k):
+            nxt = ((2 * j + beta + 1 - sq) * cur - np.sqrt(j * (j + beta)) * prev) / np.sqrt(
+                (j + 1) * (j + 1 + beta)
+            )
+            prev, cur = cur, nxt
+        total += cur[: len(ru)] * cur[len(ru) :] * ru_ext**s * np.asarray(zonal(n, s, t), dtype=ext)
+    return total.astype(float)

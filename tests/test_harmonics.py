@@ -12,6 +12,7 @@ from oscspectra.harmonics import (
     sphere_descriptor,
     surface_measure,
     zonal,
+    zonal_table,
 )
 from oscspectra.quadrature import sphere_rule
 
@@ -70,6 +71,18 @@ def test_zonal_n1_branches():
     assert zonal(1, 1, -1.0) == -0.5
     with pytest.raises(DegenerateDegreeError):
         zonal(1, 2, 0.5)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_zonal_table_rows_match_zonal(n):
+    t = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(n).uniform(-1, 1, 20)])
+    table = zonal_table(n, 40, t)
+    assert table.shape == (41, len(t))
+    for s in range(41):
+        if dim_harmonic(n, s):
+            assert np.array_equal(table[s], zonal(n, s, t))
+        else:
+            assert not table[s].any()
 
 
 @pytest.mark.parametrize("n", (2, 3))

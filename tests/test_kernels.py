@@ -16,6 +16,8 @@ from oscspectra.kernels import (
 )
 from oscspectra.special_functions import hermite_fn_multi
 
+from _oracles import phi_polar_per_term
+
 
 def test_multi_indices_listing_n2_m2():
     assert multi_indices(2, 2) == [(2, 0), (1, 1), (0, 2)]
@@ -92,6 +94,42 @@ def test_phi_direct_n6_m40_matches_polar():
 def test_kernel_values_reject_bad_dimension_or_level(fn, n, m):
     with pytest.raises(ValueError):
         fn(n, m, np.ones(2), np.ones(2))
+
+
+def _rel(a, b):
+    return (np.abs(a - b) / (1 + np.abs(b))).max()
+
+
+@pytest.mark.parametrize(
+    "n, m", ((3, 40), (3, 200), (2, 300), (4, 40), (6, 40), (3, 600), (1, 9), (5, 17))
+)
+def test_polar_matches_per_term_oracle(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    x = rng.uniform(-3, 3, size=(100, n))
+    y = rng.uniform(-3, 3, size=(100, n))
+    x[0] = 0.0
+    y[1] = 0.0
+    y[2] = x[2]
+    y[3] = -x[3]
+    y[4] *= 1e-9
+    p = phi_polar_values(n, m, x, y)
+    assert _rel(p, phi_polar_per_term(n, m, x, y)) <= 1e-13
+    assert _rel(p, phi_direct_values(n, m, x, y)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, m, half_width", ((2, 300, 10.0), (3, 600, 6.0), (3, 600, 10.0)))
+def test_polar_matches_direct_wide_box(n, m, half_width):
+    # far from the origin the high-order Laguerre factors are tiny; they
+    # must not underflow before the (ru)^s factor is applied
+    rng = np.random.default_rng(7 * n + m)
+    x = rng.uniform(-half_width, half_width, size=(200, n))
+    y = rng.uniform(-half_width, half_width, size=(200, n))
+    assert _rel(phi_polar_values(n, m, x, y), phi_direct_values(n, m, x, y)) <= 1e-12
+
+
+def test_polar_overflow_raises_resource_limit():
+    with pytest.raises(ResourceLimitError):
+        phi_polar_values(3, 1500, np.ones(3), np.ones(3))
 
 
 def test_phi_polar_ground_level_matches_direct():

@@ -9,6 +9,7 @@ from oscspectra.special_functions import (
     hermite_fn,
     hermite_fn_multi,
     hermite_table,
+    laguerre_antidiagonal_table,
     laguerre_fn,
     laguerre_fn_table,
     laguerre_poly,
@@ -58,6 +59,16 @@ def test_laguerre_fn_ground_state():
     beta, r = 0.5, 1.0
     want = math.sqrt(2.0 / math.gamma(beta + 1)) * math.exp(-r * r / 2)
     assert laguerre_fn(0, beta, r) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("a", (17.5, 41.5, 150.0, 60.0))
+def test_laguerre_antidiagonal_matches_series(a):
+    # g_k = L_k^{(a-2k)}(x) e^{-x/2} against the exact rational series
+    xs = np.array([0.0, 0.7, 5.0, 27.0])
+    table = laguerre_antidiagonal_table(29, a, xs)
+    for j, x in enumerate(xs):
+        want = np.array([laguerre_series(k, a - 2 * k, x) for k in range(30)]) * math.exp(-x / 2)
+        assert np.abs(table[:, j] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("beta", BETAS)
