@@ -30,12 +30,10 @@ from .fields import (
 from .harmonics import (
     HarmonicBasis,
     SolidHarmonic,
-    SphereDescriptor,
-    SphericalHarmonic,
     dim_harmonic,
     solid_harmonic,
     sph_basis,
-    sphere_descriptor,
+    sph_table,
     surface_measure,
     zonal,
     zonal_table,

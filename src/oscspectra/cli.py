@@ -3,9 +3,10 @@ benchmark, projections of catalog or gridded fields, dimension bookkeeping,
 and the coefficient-decay probe, with CSV/JSON reporting.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 resource cap exceeded.  All randomness is drawn from --seed, so a fixed
-configuration reproduces its output byte for byte (benchmark wall-times are
-the one inherently machine-dependent column).
+3 resource cap exceeded, 141 standard output closed by its reader (as after
+SIGPIPE).  All randomness is drawn from --seed, so a fixed configuration
+reproduces its output byte for byte (benchmark wall-times are the one
+inherently machine-dependent column).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 
 def _write_rows(rows, columns, args, command):
@@ -417,15 +420,23 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.dump_rule:
-        return _dump_rule(args.dump_rule, args, parser)
-    if not args.command:
+    if not (args.dump_rule or args.command):
         parser.error("a subcommand is required (or --dump-rule)")
     try:
-        return _HANDLERS[args.command](args, parser)
+        if args.dump_rule:
+            code = _dump_rule(args.dump_rule, args, parser)
+        else:
+            code = _HANDLERS[args.command](args, parser)
+        sys.stdout.flush()
+        return code
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); point stdout at devnull so
+        # the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

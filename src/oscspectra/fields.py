@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .harmonics import SolidHarmonic, dim_harmonic, sph_basis
-from .special_functions import hermite_fn_multi, laguerre_fn
+from .harmonics import SWEEP_BLOCK, SolidHarmonic, dim_harmonic, sph_basis, sph_table
+from .special_functions import hermite_fn_multi, laguerre_fn, laguerre_fn_table
 
 __all__ = [
     "ScalarField",
@@ -27,6 +28,7 @@ __all__ = [
     "hermite_eigenfield",
     "polar_eigenfield",
     "polar_eigenvalue",
+    "polar_series",
     "radial_harmonic_field",
     "random_band_limited",
     "random_solid_harmonic",
@@ -104,13 +106,30 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     if not 1 <= j <= basis.dim:
         raise ValueError(f"j must lie in 1..{basis.dim} for (n, s)=({n}, {s})")
     beta = n / 2.0 - 1.0 + s
-    solid = SolidHarmonic(n, s, basis.evaluators[j - 1].fn)
+    solid = basis.combination(np.eye(basis.dim)[j - 1])
 
     def fn(p):
         r = np.linalg.norm(p, axis=1)
         return laguerre_fn(k, beta, r) * solid(p)
 
     return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})")
+
+
+def polar_series(n: int, matrices: dict, points) -> np.ndarray:
+    """The polar expansion sum_{s,k,j} C_s[k, j] ell_k^{n/2-1+s}(|x|) |x|^s
+    Y_{s,j}(x') at (npts, n) points, from one (k, j) coefficient matrix
+    C_s = matrices[s] per degree s.  Each block of SWEEP_BLOCK points makes
+    one sph_table sweep, with one Laguerre table and one contraction per
+    degree that carries coefficients."""
+    total = np.zeros(len(points))
+    for i in range(0, len(points), SWEEP_BLOCK):
+        block = points[i : i + SWEEP_BLOCK]
+        r = np.linalg.norm(block, axis=1)
+        for s, rows in sph_table(n, max(matrices, default=0), block):
+            if s in matrices:
+                ell = laguerre_fn_table(len(matrices[s]) - 1, n / 2.0 - 1.0 + s, r)
+                total[i : i + SWEEP_BLOCK] += np.einsum("kp,kp->p", ell, matrices[s] @ rows)
+    return total
 
 
 def radial_harmonic_field(f0: Callable, solid: SolidHarmonic, label: str = "") -> ScalarField:
@@ -136,7 +155,9 @@ def random_band_limited(
 ) -> tuple[ScalarField, dict]:
     """Random finite combination of polar eigenfunctions with s + 2k <= m_max.
 
-    Returns the field and its exact coefficient dict keyed by (k, s, j).
+    Returns the field and its exact coefficient dict keyed by (k, s, j).  The
+    field holds one (k, j) coefficient matrix per degree s and evaluates as
+    a polar_series.
     """
     indices = [
         (k, s, j)
@@ -146,15 +167,11 @@ def random_band_limited(
     ]
     pick = rng.choice(len(indices), size=min(terms, len(indices)), replace=False)
     coeffs = {indices[i]: float(rng.standard_normal()) for i in sorted(pick)}
-    parts = [(c, polar_eigenfield(n, k, s, j)) for (k, s, j), c in coeffs.items()]
-
-    def fn(p):
-        total = np.zeros(len(p))
-        for c, part in parts:
-            total += c * part(p)
-        return total
-
-    return ScalarField(n, fn, label=f"bandlimited(m<={m_max})"), coeffs
+    matrices: dict = {}
+    for (k, s, j), c in coeffs.items():
+        matrices.setdefault(s, np.zeros(((m_max - s) // 2 + 1, dim_harmonic(n, s))))[k, j - 1] = c
+    field = ScalarField(n, partial(polar_series, n, matrices), label=f"bandlimited(m<={m_max})")
+    return field, coeffs
 
 
 def f0_gauss(r):

@@ -1,5 +1,6 @@
 """Spherical-harmonic layer: dimensions d_s, zonal kernels for every n >= 1,
-explicit orthonormal bases for n in {1, 2, 3}, and solid-harmonic extension.
+and explicit orthonormal bases for n in {1, 2, 3}, evaluated as solid
+harmonics |x|^s Y_{s,j}(x') for every degree from one sweep.
 
 All bases are real-valued.  The n = 1 sphere is the two-point set {-1, +1}
 with counting measure; its only harmonic degrees are 0 and 1, and that case
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List
 
 import numpy as np
 
@@ -19,16 +19,15 @@ from .errors import DegenerateDegreeError, DimensionMismatchError
 from .special_functions import gegenbauer_table
 
 __all__ = [
-    "SphereDescriptor",
-    "sphere_descriptor",
+    "SWEEP_BLOCK",
     "surface_measure",
     "dim_harmonic",
     "zonal",
     "zonal_table",
     "HarmonicBasis",
-    "SphericalHarmonic",
     "SolidHarmonic",
     "sph_basis",
+    "sph_table",
     "solid_harmonic",
 ]
 
@@ -42,16 +41,6 @@ def surface_measure(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-@dataclass(frozen=True)
-class SphereDescriptor:
-    n: int
-    surface_measure_total: float
-
-
-def sphere_descriptor(n: int) -> SphereDescriptor:
-    return SphereDescriptor(n, surface_measure(n))
 
 
 def dim_harmonic(n: int, s: int) -> int:
@@ -115,7 +104,7 @@ def zonal(n: int, s: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _as_unit_points(points, n):
+def _as_points(points, n):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
@@ -124,43 +113,91 @@ def _as_unit_points(points, n):
     return pts, single
 
 
-@dataclass(frozen=True)
-class SphericalHarmonic:
-    """A single real spherical harmonic: degree s, position j in its basis."""
+def sph_table(n: int, s_max: int, points):
+    """Solid harmonics |x|^s Y_{s,j}(x') for s = 0..s_max from one sweep over
+    the degree: yields (s, rows), rows of shape (d_s, npts) in sph_basis
+    order, for every s with d_s > 0.  Only the last two degrees are held;
+    at n = 2, 3 the yielded rows are read-only, since the sweep reads them
+    again.  On the unit sphere the rows are the spherical harmonics.
 
-    n: int
-    s: int
-    j: int
-    fn: Callable
+    n=1: 2^{-1/2} at s=0 and 2^{-1/2} x at s=1 (counting measure).
+    n=3: with the fully normalized associated Legendre functions (no
+         Condon-Shortley sign), the rows are r^s Pbar_s^0(cos th), then
+         sqrt(2) r^s Pbar_s^m(cos th) times cos(m phi), sin(m phi) for
+         m = 1..s.  Each row of order m < s continues its row of degree s-1,
+         R_s = a (z R_{s-1} - b r^2 R_{s-2}) with a = sqrt((4s^2-1)/(s^2-m^2))
+         and b = sqrt(((s-1)^2-m^2)/(4(s-1)^2-1)); the two rows of order s
+         rotate the last two rows of degree s-1 by (x, y), (C, S) ->
+         d (x C - y S, y C + x S), d = sqrt((2s+1)/(2s)), times sqrt(2) at
+         s = 1.
+    n=2: only the rotation, with d = 1 (sqrt(2) at s = 1), from
+         (2 pi)^{-1/2}: the rows are Re and Im of (x + iy)^s / sqrt(pi).
+    Every row is a polynomial in the coordinates, so no angle is formed,
+    nothing is divided by |x|, and the origin is exact.
+    """
+    if n not in (1, 2, 3):
+        raise ValueError(f"explicit bases exist for n <= 3 only, got n={n}")
+    if s_max < 0:
+        raise ValueError(f"degree must be nonnegative, got {s_max}")
+    pts, _ = _as_points(points, n)
+    npts = len(pts)
+    if n == 1:
+        yield 0, np.full((1, npts), math.sqrt(0.5))
+        if s_max >= 1:
+            yield 1, math.sqrt(0.5) * pts.T
+        return
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, -1]
+    r2 = np.einsum("pi,pi->p", pts, pts)
+    older = np.empty((0, npts))
+    prev = np.full((1, npts), 1.0 / math.sqrt(2.0 * math.pi if n == 2 else 4.0 * math.pi))
+    prev.flags.writeable = False
+    yield 0, prev
+    for s in range(1, s_max + 1):
+        d = math.sqrt(2.0) if s == 1 else 1.0
+        if n == 3:
+            m = (np.arange(2 * s - 1.0)[:, None] + 1.0) // 2.0  # order of each row
+            # b r^2 R_{s-2} replaces R_{s-2} before degree s is allocated, so
+            # no more than two degrees and this term are alive at once
+            older = older * r2
+            older *= np.sqrt(((s - 1.0) ** 2 - m[: len(older)] ** 2) / (4.0 * (s - 1.0) ** 2 - 1.0))
+            cur = np.empty((2 * s + 1, npts))
+            np.multiply(z, prev, out=cur[:-2])
+            cur[: len(older)] -= older
+            cur[:-2] *= np.sqrt((4.0 * s * s - 1.0) / (s * s - m * m))
+            d *= math.sqrt((2.0 * s + 1.0) / (2.0 * s))
+        else:
+            cur = np.empty((2, npts))
+        c, sn = (prev[0], 0.0) if s == 1 else (prev[-2], prev[-1])
+        cur[-2] = d * (x * c - y * sn)
+        cur[-1] = d * (y * c + x * sn)
+        cur.flags.writeable = False
+        older, prev = prev, cur
+        yield s, cur
 
-    def __call__(self, unit_points):
-        pts, single = _as_unit_points(unit_points, self.n)
-        vals = self.fn(pts)
-        return float(vals[0]) if single else vals
+
+# Points per sph_table sweep when a field is evaluated.  Fields are evaluated
+# on grids of up to 64^3 nodes; sweeping them in blocks keeps the sweep's
+# rows at a few MB instead of tens, which the allocator would otherwise keep
+# resident after the call.
+SWEEP_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
 class SolidHarmonic:
-    """Homogeneous degree-s extension Y(r x') = r^s * sphere_fn(x')."""
+    """The degree-s solid harmonic sum_j c_j |x|^s Y_{s,j}(x') of coefficients
+    c in the basis sph_basis(n, s)."""
 
     n: int
     degree: int
-    sphere_fn: Callable
+    coeffs: np.ndarray
 
     def __call__(self, points):
-        pts, single = _as_unit_points(points, self.n)
-        r = np.linalg.norm(pts, axis=1)
-        pos = r > 0
-        vals = np.zeros(len(pts))
-        if np.any(pos):
-            unit = pts[pos] / r[pos, None]
-            vals[pos] = r[pos] ** self.degree * np.asarray(self.sphere_fn(unit))
-        if np.any(~pos):
-            if self.degree == 0:
-                pole = np.zeros((1, self.n))
-                pole[0, 0] = 1.0
-                vals[~pos] = float(np.asarray(self.sphere_fn(pole))[0])
-            # degree >= 1 vanishes at the origin
+        pts, single = _as_points(points, self.n)
+        vals = np.empty(len(pts))
+        for i in range(0, len(pts), SWEEP_BLOCK):
+            for _, rows in sph_table(self.n, self.degree, pts[i : i + SWEEP_BLOCK]):
+                pass
+            vals[i : i + SWEEP_BLOCK] = self.coeffs @ rows
         return float(vals[0]) if single else vals
 
 
@@ -171,112 +208,39 @@ class HarmonicBasis:
     n: int
     s: int
     dim: int
-    _eval_all: Callable
 
-    def evaluate_all(self, unit_points) -> np.ndarray:
-        """Stack of basis values at unit points, shape (dim, npts)."""
-        pts, _ = _as_unit_points(unit_points, self.n)
-        return self._eval_all(pts)
-
-    @property
-    def evaluators(self) -> List[SphericalHarmonic]:
-        return [
-            SphericalHarmonic(self.n, self.s, j + 1, fn=_RowEval(self, j))
-            for j in range(self.dim)
-        ]
+    def evaluate_all(self, points) -> np.ndarray:
+        """Solid harmonics |x|^s Y_{s,j}(x') at points, shape (dim, npts): the
+        last entry of sph_table.  At unit points these are the basis values."""
+        for _, rows in sph_table(self.n, self.s, points):
+            pass
+        return rows
 
     def combination(self, coeffs) -> SolidHarmonic:
         """Solid harmonic with the given coefficients in this basis."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coefficients, got {coeffs.shape}")
-        return SolidHarmonic(self.n, self.s, lambda pts: coeffs @ self._eval_all(pts))
-
-
-class _RowEval:
-    """Picklable single-row view into a basis evaluation."""
-
-    def __init__(self, basis, row):
-        self.basis = basis
-        self.row = row
-
-    def __call__(self, pts):
-        return self.basis._eval_all(pts)[self.row]
-
-
-def _legendre_assoc_normalized(s: int, z: np.ndarray, sin_theta: np.ndarray) -> np.ndarray:
-    """Fully normalized associated Legendre values Pbar_s^m for m = 0..s.
-
-    Normalized so that the real harmonics built from them are orthonormal
-    on the sphere; no Condon-Shortley sign.  Returns shape (s+1, npts).
-    """
-    npts = len(z)
-    out = np.empty((s + 1, npts))
-    pmm = np.full(npts, math.sqrt(1.0 / (4.0 * math.pi)))
-    for m in range(s + 1):
-        if m > 0:
-            pmm = pmm * math.sqrt((2 * m + 1.0) / (2 * m)) * sin_theta
-        if m == s:
-            out[m] = pmm
-            continue
-        prev = pmm
-        cur = math.sqrt(2 * m + 3.0) * z * pmm
-        for ell in range(m + 2, s + 1):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            prev, cur = cur, a * (z * cur - b * prev)
-        out[m] = cur
-    return out
+        return SolidHarmonic(self.n, self.s, coeffs)
 
 
 @lru_cache(maxsize=None)
 def sph_basis(n: int, s: int) -> HarmonicBasis:
-    """Explicit real orthonormal basis of the degree-s harmonics, n <= 3.
-
-    n=1: {2^{-1/2}} for s=0 and {2^{-1/2} x'} for s=1 (counting measure);
-    n=2: {(2 pi)^{-1/2}} for s=0, {pi^{-1/2} cos(s th), pi^{-1/2} sin(s th)};
-    n=3: real normalized associated-Legendre harmonics ordered m=0, then
-         (m, cos), (m, sin) for m = 1..s.
-    """
+    """Explicit real orthonormal basis of the degree-s harmonics, n <= 3, with
+    the rows of sph_table (n=3: normalized associated-Legendre harmonics
+    ordered m=0, then (m, cos), (m, sin) for m = 1..s)."""
     if s < 0:
         raise ValueError(f"degree must be nonnegative, got {s}")
-    if n == 1:
-        if s >= 2:
-            raise DegenerateDegreeError(f"n=1 has no harmonics of degree {s}")
-        if s == 0:
-            fn = lambda pts: np.full(len(pts), 1.0 / math.sqrt(2.0))
-        else:
-            fn = lambda pts: pts[:, 0] / math.sqrt(2.0)
-        return HarmonicBasis(1, s, 1, lambda pts: fn(pts)[None, :])
-    if n == 2:
-        if s == 0:
-            return HarmonicBasis(
-                2, 0, 1, lambda pts: np.full((1, len(pts)), 1.0 / math.sqrt(2.0 * math.pi))
-            )
-
-        def eval_all2(pts, s=s):
-            theta = np.arctan2(pts[:, 1], pts[:, 0])
-            c = 1.0 / math.sqrt(math.pi)
-            return np.vstack([c * np.cos(s * theta), c * np.sin(s * theta)])
-
-        return HarmonicBasis(2, s, 2, eval_all2)
-    if n == 3:
-
-        def eval_all3(pts, s=s):
-            z = np.clip(pts[:, 2], -1.0, 1.0)
-            sin_theta = np.hypot(pts[:, 0], pts[:, 1])
-            phi = np.arctan2(pts[:, 1], pts[:, 0])
-            pbar = _legendre_assoc_normalized(s, z, sin_theta)
-            rows = [pbar[0]]
-            for m in range(1, s + 1):
-                rows.append(math.sqrt(2.0) * pbar[m] * np.cos(m * phi))
-                rows.append(math.sqrt(2.0) * pbar[m] * np.sin(m * phi))
-            return np.vstack(rows)
-
-        return HarmonicBasis(3, s, 2 * s + 1, eval_all3)
-    raise ValueError(f"explicit bases exist for n <= 3 only, got n={n}")
+    if n not in (1, 2, 3):
+        raise ValueError(f"explicit bases exist for n <= 3 only, got n={n}")
+    if not dim_harmonic(n, s):
+        raise DegenerateDegreeError(f"n=1 has no harmonics of degree {s}")
+    return HarmonicBasis(n, s, dim_harmonic(n, s))
 
 
-def solid_harmonic(elem: SphericalHarmonic, points):
-    """Evaluate the homogeneous extension Y(x) = |x|^s * elem(x/|x|)."""
-    return SolidHarmonic(elem.n, elem.s, elem.fn)(points)
+def solid_harmonic(n: int, s: int, j: int, points) -> np.ndarray:
+    """The j-th (1-based) basis solid harmonic |x|^s Y_{s,j}(x') at points."""
+    basis = sph_basis(n, s)
+    if not 1 <= j <= basis.dim:
+        raise ValueError(f"j must lie in 1..{basis.dim} for (n, s)=({n}, {s})")
+    return basis.evaluate_all(points)[j - 1]

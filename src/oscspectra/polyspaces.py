@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ResourceLimitError
-from .harmonics import SolidHarmonic, dim_harmonic, sph_basis
+from .harmonics import dim_harmonic, solid_harmonic
 
 __all__ = [
     "PolySpan",
@@ -164,9 +164,6 @@ def solid_harmonic_poly(n: int, s: int, j: int) -> tuple:
     """Monomial coefficients (over ``monomials`` of exact degree s) of the
     j-th degree-s solid harmonic, by exact interpolation of the evaluator on
     a unisolvent random node set, with a rational-reconstruction pass."""
-    basis = sph_basis(n, s)
-    elem = basis.evaluators[j - 1]
-    solid = SolidHarmonic(n, s, elem.fn)
     monos = [e for e in monomials(n, s) if sum(e) == s]
     rng = np.random.default_rng(8000 + 101 * n + 13 * s + j)
     pts = rng.uniform(-1.0, 1.0, size=(3 * len(monos) + 8, n))
@@ -176,8 +173,9 @@ def solid_harmonic_poly(n: int, s: int, j: int) -> tuple:
         for axis, p in enumerate(e):
             if p:
                 vander[:, cidx] *= pts[:, axis] ** p
-    coef, res, *_ = np.linalg.lstsq(vander, solid(pts), rcond=None)
-    fit_err = np.abs(vander @ coef - solid(pts)).max()
+    vals = solid_harmonic(n, s, j, pts)
+    coef, res, *_ = np.linalg.lstsq(vander, vals, rcond=None)
+    fit_err = np.abs(vander @ coef - vals).max()
     if fit_err > 1e-8:
         raise RuntimeError(f"solid harmonic interpolation failed (n={n}, s={s}, j={j})")
     return tuple(monos), tuple(float(c) for c in _rational_snap(coef))

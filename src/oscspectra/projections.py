@@ -15,13 +15,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractViolationError, IntegrabilityError
-from .fields import ScalarField, polar_eigenvalue
-from .harmonics import SolidHarmonic, dim_harmonic, sph_basis
+from .fields import ScalarField, polar_eigenvalue, polar_series
+from .harmonics import SolidHarmonic, dim_harmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
     LINE_N,
@@ -178,11 +179,8 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
     fv = fv.reshape(len(r), len(sphere.nodes))
     entries: Dict[tuple, float] = {}
-    for s in range(m_max + 1):
-        if not dim_harmonic(n, s):
-            continue
-        ysph = sph_basis(n, s).evaluate_all(sphere.nodes) * sphere.weights
-        fsj = fv @ ysph.T  # (radial, d_s)
+    for s, ysph in sph_table(n, m_max, sphere.nodes):
+        fsj = fv @ (ysph * sphere.weights).T  # (radial, d_s)
         ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
         coeffs = (ell * (radial.weights * r**s)) @ fsj  # (kmax+1, d_s)
         for (k, j), value in np.ndenumerate(coeffs):
@@ -226,30 +224,15 @@ def project(
         return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})")
     if basis != "polar":
         raise ValueError(f"unknown basis {basis!r}")
-    channels = []
+    matrices = {}  # degree s = m - 2k -> (k, j) matrix, nonzero in row k only
     for k in range(m // 2 + 1):
         s = m - 2 * k
-        if not dim_harmonic(n, s):
-            continue
-        b = sph_basis(n, s)
-        cvec = np.array([coeffs.entries.get((k, s, j + 1), 0.0) for j in range(b.dim)])
-        channels.append((k, s, b, cvec))
-
-    def fn_p(pts):
-        out = np.zeros(len(pts))
-        r = np.linalg.norm(pts, axis=1)
-        pos = r > 0
-        unit = np.zeros_like(pts)
-        unit[:, 0] = 1.0
-        unit[pos] = pts[pos] / r[pos, None]
-        for k, s, b, cvec in channels:
-            beta = n / 2.0 - 1.0 + s
-            ell = laguerre_fn_table(k, beta, r)[k]
-            yvals = cvec @ b.evaluate_all(unit)
-            out += ell * r**s * yvals if s else ell * yvals
-        return out
-
-    return ScalarField(n, fn_p, label=f"proj[m={m},polar]({f.label})")
+        dim = dim_harmonic(n, s)
+        if dim:
+            matrices[s] = np.zeros((k + 1, dim))
+            matrices[s][k] = [coeffs.entries.get((k, s, j + 1), 0.0) for j in range(dim)]
+    label = f"proj[m={m},polar]({f.label})"
+    return ScalarField(n, partial(polar_series, n, matrices), label=label)
 
 
 def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +52,8 @@ class QuadratureRule:
     and tensor rules.  weights are strictly positive and include the
     reciprocal of the rule's weight function at each node, so that
     ``rule.integrate(f)`` approximates the integral of a raw evaluator f
-    against the rule's measure.
+    against the rule's measure.  Both arrays are read-only views, so a
+    memoized rule can be shared by every caller.
     """
 
     nodes: np.ndarray
@@ -66,6 +68,10 @@ class QuadratureRule:
             raise ValueError("node/weight length mismatch")
         if np.any(self.weights <= 0) or not np.all(np.isfinite(self.weights)):
             raise ValueError(f"weights must be positive and finite ({self.domain_tag})")
+        for name in ("nodes", "weights"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def integrate(self, fn: Callable) -> float:
         vals = np.asarray(fn(self.nodes), dtype=float)
@@ -123,6 +129,7 @@ def _golub_welsch(a, b, psi0):
     return nodes, 1.0 / np.sum(psi**2, axis=0)
 
 
+@lru_cache(maxsize=None)
 def gauss_hermite(n: int) -> QuadratureRule:
     """n-point Gauss rule on the line, exact for p(x) e^{-x^2}, deg p <= 2n-1.
 
@@ -141,6 +148,7 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, "gauss_hermite_line", 2 * n - 1)
 
 
+@lru_cache(maxsize=None)
 def gauss_radial(n: int, beta: float) -> QuadratureRule:
     """n-point rule for integrals over (0, inf) against r^{2 beta + 1} dr.
 
@@ -191,6 +199,7 @@ def radial_rule_compact(n: int, radius: float, panels: int = 4) -> QuadratureRul
     return QuadratureRule(nodes, weights, f"radial_compact(R={radius:g})", 2 * n - 1)
 
 
+@lru_cache(maxsize=None)
 def sphere_rule(n: int, degree: int) -> QuadratureRule:
     """Quadrature on the unit sphere in R^n against surface measure.
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fields as fl
 from . import polyspaces as ps
-from .harmonics import dim_harmonic, sph_basis, zonal
+from .harmonics import dim_harmonic, sph_basis, sph_table, zonal
 from .kernels import phi_direct_values, phi_polar_values
 from .projections import (
     coefficient_decay_probe,
@@ -154,7 +154,7 @@ def polar_gram_defect(n, level_cap) -> float:
     sphere = sphere_rule(n, 2 * degrees[-1] + 2)
     radial = default_radial_rules(n)
     r = radial.nodes
-    ys = {s: sph_basis(n, s).evaluate_all(sphere.nodes) for s in degrees}
+    ys = dict(sph_table(n, degrees[-1], sphere.nodes))
     ells = {s: laguerre_fn_table((level_cap - s) // 2, n / 2.0 - 1.0 + s, r) for s in degrees}
 
     def block(s1, s2):
@@ -289,7 +289,7 @@ def check_factorization(n, seed, tol, tol_cross) -> tuple[CheckRow, CheckRow]:
     rad_f0 = radial.weights * fl.f0_gauss_poly(r) * fl.f0_gauss(r)
     worst_eq = 0.0
     for i, (s, y) in enumerate(zip(degrees, solids)):
-        sph_part = float(sphere.weights @ y.sphere_fn(sphere.nodes) ** 2)
+        sph_part = float(sphere.weights @ y(sphere.nodes) ** 2)
         worst_eq = max(worst_eq, abs(full[i, i] - float(rad_f0 @ r ** (2 * s)) * sph_part))
     np.fill_diagonal(full, 0.0)
     worst_cross = float(np.abs(full).max())

@@ -1,6 +1,7 @@
 """Independent oracles for the test suite: power-series evaluations,
-finite-difference residuals and the O(m^2) per-term polar kernel, kept
-deliberately separate from the recurrence implementations they check.
+finite-difference residuals, per-degree spherical harmonics through angles
+and the O(m^2) per-term polar kernel, kept deliberately separate from the
+recurrence implementations they check.
 
 The series run in exact rational arithmetic (the orders used in the tests
 are rational and a float argument is an exact binary rational), so the
@@ -118,3 +119,55 @@ def phi_polar_per_term(n, m, x, y):
             prev, cur = cur, nxt
         total += cur[: len(ru)] * cur[len(ru) :] * ru_ext**s * np.asarray(zonal(n, s, t), dtype=ext)
     return total.astype(float)
+
+
+def legendre_assoc_normalized(s, z, sin_theta):
+    """Fully normalized associated Legendre values Pbar_s^m(z) for m = 0..s
+    (no Condon-Shortley sign), shape (s+1, npts): for each order m the
+    diagonal seed, then the three-term recurrence in the degree."""
+    out = np.empty((s + 1, len(z)))
+    pmm = np.full(len(z), math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(s + 1):
+        if m > 0:
+            pmm = pmm * math.sqrt((2 * m + 1.0) / (2 * m)) * sin_theta
+        if m == s:
+            out[m] = pmm
+            continue
+        prev = pmm
+        cur = math.sqrt(2 * m + 3.0) * z * pmm
+        for ell in range(m + 2, s + 1):
+            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+            b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+            prev, cur = cur, a * (z * cur - b * prev)
+        out[m] = cur
+    return out
+
+
+def solid_harmonic_rows(n, s, points):
+    """The degree-s rows |x|^s Y_{s,j}(x') of sph_basis order, n <= 3, one
+    degree at a time through the angles: unit vectors, arctan2, cos and sin
+    of m phi, and the per-degree Legendre sweep, times |x|^s.  The origin
+    takes the value at the pole e_1 times 0^s."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r = np.linalg.norm(pts, axis=1)
+    unit = np.zeros_like(pts)
+    unit[:, 0] = 1.0
+    unit[r > 0] = pts[r > 0] / r[r > 0, None]
+    if n == 1:
+        rows = np.full((1, len(pts)), 2**-0.5) if s == 0 else unit.T / math.sqrt(2.0)
+    elif n == 2:
+        theta = np.arctan2(unit[:, 1], unit[:, 0])
+        if s == 0:
+            rows = np.full((1, len(pts)), 1.0 / math.sqrt(2.0 * math.pi))
+        else:
+            rows = np.vstack([np.cos(s * theta), np.sin(s * theta)]) / math.sqrt(math.pi)
+    else:
+        z = np.clip(unit[:, 2], -1.0, 1.0)
+        phi = np.arctan2(unit[:, 1], unit[:, 0])
+        pbar = legendre_assoc_normalized(s, z, np.hypot(unit[:, 0], unit[:, 1]))
+        rows = [pbar[0]]
+        for m in range(1, s + 1):
+            rows.append(math.sqrt(2.0) * pbar[m] * np.cos(m * phi))
+            rows.append(math.sqrt(2.0) * pbar[m] * np.sin(m * phi))
+        rows = np.vstack(rows)
+    return rows * r**s

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscspectra
 from oscspectra.cli import main
 from oscspectra.kernels import multi_index_count
 
@@ -299,3 +304,24 @@ def test_deterministic_output_bytes(tmp_path, capsys):
             capsys,
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # `oscspectra project ... | head -1`: the reader leaves after one line
+    src = str(Path(oscspectra.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["project", "--n", "3", "--field", "gauss", "--m", "2", "--points", "2000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oscspectra.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first.startswith(b"x1,x2,x3,")
+    assert b"Traceback" not in err

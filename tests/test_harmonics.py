@@ -5,18 +5,17 @@ import pytest
 
 from oscspectra.errors import DegenerateDegreeError
 from oscspectra.harmonics import (
-    SolidHarmonic,
     dim_harmonic,
     solid_harmonic,
     sph_basis,
-    sphere_descriptor,
+    sph_table,
     surface_measure,
     zonal,
     zonal_table,
 )
 from oscspectra.quadrature import sphere_rule
 
-from _oracles import fd_laplacian
+from _oracles import fd_laplacian, solid_harmonic_rows
 
 
 def random_unit(rng, count, n):
@@ -28,7 +27,7 @@ def test_surface_measures():
     assert surface_measure(1) == pytest.approx(2.0)
     assert surface_measure(2) == pytest.approx(2 * math.pi)
     assert surface_measure(3) == pytest.approx(4 * math.pi)
-    assert sphere_descriptor(6).surface_measure_total == pytest.approx(math.pi**3)
+    assert surface_measure(6) == pytest.approx(math.pi**3)
 
 
 def test_dim_harmonic_n1():
@@ -157,24 +156,28 @@ def test_basis_unsupported_dimension():
 
 
 def test_solid_harmonic_constant():
-    elem = sph_basis(3, 0).evaluators[0]
     pts = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    vals = solid_harmonic(elem, pts)
+    vals = solid_harmonic(3, 0, 1, pts)
     assert np.abs(vals - vals[0]).max() < 1e-15
 
 
 def test_solid_harmonic_homogeneity():
     rng = np.random.default_rng(9)
     for n, s in ((2, 3), (3, 2), (3, 5)):
-        elem = sph_basis(n, s).evaluators[-1]
+        j = dim_harmonic(n, s)
         pts = rng.uniform(-1.5, 1.5, size=(10, n))
-        doubled = solid_harmonic(elem, 2 * pts)
-        assert doubled == pytest.approx(2**s * solid_harmonic(elem, pts), rel=1e-12, abs=1e-13)
+        doubled = solid_harmonic(n, s, j, 2 * pts)
+        assert doubled == pytest.approx(2**s * solid_harmonic(n, s, j, pts), rel=1e-12, abs=1e-13)
 
 
 def test_solid_harmonic_vanishes_at_origin_for_positive_degree():
-    elem = sph_basis(2, 4).evaluators[0]
-    assert solid_harmonic(elem, [0.0, 0.0]) == 0.0
+    assert solid_harmonic(2, 4, 1, [0.0, 0.0]).tolist() == [0.0]
+
+
+def test_solid_harmonic_rejects_bad_index():
+    for j in (0, 4):
+        with pytest.raises(ValueError):
+            solid_harmonic(3, 1, j, [0.0, 0.0, 1.0])
 
 
 def test_solid_harmonic_is_harmonic():
@@ -182,7 +185,7 @@ def test_solid_harmonic_is_harmonic():
     rng = np.random.default_rng(23)
     for n, s in ((2, 4), (3, 3)):
         basis = sph_basis(n, s)
-        solid = SolidHarmonic(n, s, basis.evaluators[1].fn)
+        solid = basis.combination(np.eye(basis.dim)[1])
         pts = rng.uniform(-1.2, 1.2, size=(8, n))
         lap = fd_laplacian(solid, pts, 1e-2)
         scale = np.abs(solid(pts)).max() + 1.0
@@ -196,6 +199,66 @@ def test_basis_combination_matches_manual_sum():
     combo = basis.combination(c)
     pts = rng.uniform(-2, 2, size=(7, 3))
     manual = np.zeros(7)
-    for j, elem in enumerate(basis.evaluators):
-        manual += c[j] * solid_harmonic(elem, pts)
+    for j in range(basis.dim):
+        manual += c[j] * solid_harmonic(3, 2, j + 1, pts)
     assert combo(pts) == pytest.approx(manual, abs=1e-13)
+
+
+def test_solid_harmonic_in_blocks_matches_one_sweep():
+    # more points than one evaluation block, with a ragged last block
+    basis = sph_basis(3, 4)
+    rng = np.random.default_rng(32)
+    c = rng.standard_normal(basis.dim)
+    pts = rng.uniform(-2, 2, size=(40_000, 3))
+    want = c @ basis.evaluate_all(pts)
+    assert np.abs(basis.combination(c)(pts) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _table_points(n, rng):
+    """The poles +-e_n, unit points on the equator x_n = 0 (n >= 2), random
+    points of radius 0.5..2 and, last, the origin."""
+    pole = np.eye(n)[-1]
+    angles = np.linspace(0.0, 2.0 * np.pi, 7)
+    if n == 3:
+        equator = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(7)])
+    elif n == 2:
+        equator = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    else:
+        equator = np.empty((0, 1))
+    randoms = random_unit(rng, 40, n) * rng.uniform(0.5, 2.0, size=(40, 1))
+    return np.vstack([pole, -pole, equator, randoms, np.zeros(n)])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_sph_table_matches_per_degree_oracle(n):
+    pts = _table_points(n, np.random.default_rng(40 + n))
+    s_max = 40
+    seen = []
+    for s, rows in sph_table(n, s_max, pts):
+        seen.append(s)
+        want = solid_harmonic_rows(n, s, pts)
+        assert rows.shape == (dim_harmonic(n, s), len(pts))
+        assert np.abs(rows - want).max() <= 1e-13 * np.abs(want).max()
+        # the origin is exact: the constant at s = 0, zero above
+        assert np.array_equal(rows[:, -1], want[:, -1])
+    assert seen == [s for s in range(s_max + 1) if dim_harmonic(n, s)]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_sph_table_is_homogeneous(n):
+    pts = _table_points(n, np.random.default_rng(50 + n))
+    doubled = dict(sph_table(n, 40, 2.0 * pts))
+    for s, rows in sph_table(n, 40, pts):
+        assert np.abs(doubled[s] - 2.0**s * rows).max() <= 1e-13 * 2.0**s * np.abs(rows).max()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_evaluate_all_is_last_table_entry(n):
+    pts = random_unit(np.random.default_rng(60 + n), 25, n)
+    for s, rows in sph_table(n, 12, pts):
+        assert np.array_equal(sph_basis(n, s).evaluate_all(pts), rows)
+
+
+def test_sph_table_rejects_unsupported_dimension():
+    with pytest.raises(ValueError):
+        next(sph_table(4, 3, np.zeros((2, 4))))

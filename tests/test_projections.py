@@ -344,3 +344,37 @@ def test_polar_index_eigenvalue():
 
     assert PolarIndex(1, 2, 3).eigenvalue(3) == 3 + 2 * (2 + 2 * 1)
     assert PolarIndex(0, 0, 1).eigenvalue(1) == 1
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_band_limited_field_matches_sum_of_eigenfields(n):
+    # the per-degree evaluation equals the sum of its parts, origin included
+    rng = np.random.default_rng(70 + n)
+    f, coeffs = random_band_limited(n, 8, rng)
+    pts = np.vstack([rng.uniform(-2.5, 2.5, size=(60, n)), np.zeros(n)])
+    want = sum(c * polar_eigenfield(n, k, s, j)(pts) for (k, s, j), c in coeffs.items())
+    assert np.abs(f(pts) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def test_band_limited_field_makes_one_sweep_per_call(monkeypatch):
+    import oscspectra.fields as fields_module
+    from oscspectra.harmonics import SolidHarmonic
+
+    sweeps = []
+    table = fields_module.sph_table
+
+    def counting_table(*args):
+        sweeps.append(args[:2])
+        return table(*args)
+
+    def no_solid_call(self, points):
+        raise AssertionError("band-limited field evaluated a SolidHarmonic")
+
+    monkeypatch.setattr(fields_module, "sph_table", counting_table)
+    monkeypatch.setattr(SolidHarmonic, "__call__", no_solid_call)
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(80 + n)
+        f, _ = random_band_limited(n, 6, rng)
+        sweeps.clear()
+        f(rng.uniform(-2.0, 2.0, size=(30, n)))
+        assert len(sweeps) == 1

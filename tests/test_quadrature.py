@@ -18,6 +18,19 @@ from oscspectra.quadrature import (
 from oscspectra.special_functions import hermite_fn_multi, hermite_table, laguerre_fn_table
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [(gauss_hermite, (12,)), (gauss_radial, (20, 0.5)), (sphere_rule, (3, 6))],
+    ids=["hermite", "radial", "sphere"],
+)
+def test_rule_builders_are_memoized_and_read_only(build, args):
+    rule = build(*args)
+    assert build(*args) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_gauss_hermite_total_mass():
     for n in (1, 2, 8, 64, 400, 600):
         rule = gauss_hermite(n)
@@ -163,7 +176,7 @@ def test_polar_factorization_at_quadrature_level():
     # integral equals radial integral times sphere integral
     n, s = 3, 2
     basis = sph_basis(n, s)
-    elem = basis.evaluators[1]
+    elem = lambda p: basis.evaluate_all(p)[1]  # noqa: E731
     tensor = tensor_rule(gauss_hermite(48), n)
 
     def f(p):
