@@ -189,8 +189,10 @@ def _load_grid_field(path, n, parser):
         xs, ys = pts[order, 0], vals[order]
         fn = lambda p: np.interp(p[:, 0], xs, ys, left=0.0, right=0.0)
     else:
-        from scipy.interpolate import LinearNDInterpolator
-
+        try:
+            from scipy.interpolate import LinearNDInterpolator
+        except ImportError:
+            parser.error("--grid-file at n >= 2 needs scipy: pip install 'oscspectra[grid]'")
         interp = LinearNDInterpolator(pts, vals, fill_value=0.0)
         fn = lambda p: np.asarray(interp(p), dtype=float)
     radius = float(np.linalg.norm(pts, axis=1).max())

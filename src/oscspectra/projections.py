@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -142,6 +142,7 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     return SpectralCoefficients(n, "hermite", entries, m_max)
 
 
+@lru_cache(maxsize=None)
 def default_radial_rules(n: int, support_radius: Optional[float] = None) -> QuadratureRule:
     """The radial rule against r^{n-1} dr used by every polar integral.
 
@@ -149,7 +150,8 @@ def default_radial_rules(n: int, support_radius: Optional[float] = None) -> Quad
     beta = n/2 - 1, which integrates r^{2s} p(r^2) e^{-r^2} r^{n-1} exactly
     for every harmonic degree s; compactly supported fields get a composite
     Gauss-Legendre rule on [0, R], whose nodes actually cover the support,
-    with r^{n-1} folded into its weights.
+    with r^{n-1} folded into its weights.  Memoized like the rule builders,
+    so each (n, R) pays for its Legendre eigensolve once.
     """
     if support_radius is None:
         return gauss_radial(RADIAL_N, n / 2.0 - 1.0)

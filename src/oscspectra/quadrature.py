@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ContractViolationError, ResourceLimitError
 
@@ -114,7 +113,8 @@ def _orthonormal_values(x, a, b, psi0):
 def _golub_welsch(a, b, psi0):
     """Gauss nodes and weights from the recurrence (a_k, b_{k+1}), k < len(a).
 
-    Nodes: symmetric-tridiagonal eigensolve, then one Newton step on the
+    Nodes: eigenvalues of the symmetric tridiagonal Jacobi matrix (numpy's
+    dense solver, which reads its lower triangle), then one Newton step on the
     degree-n orthonormal polynomial with the derivative taken from the
     Christoffel-Darboux identity at a zero of p_n,
     delta = b_n psi_n psi_{n-1} / sum_{k<n} psi_k^2.  Weights: the reciprocal
@@ -122,7 +122,7 @@ def _golub_welsch(a, b, psi0):
     psi_k(x_i)^2, which is the Gauss weight with the weight function divided
     out; no factor e^{x^2} is ever formed.
     """
-    nodes, _ = eigh_tridiagonal(a, b[:-1])
+    nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(b[:-1], -1))
     psi = _orthonormal_values(nodes, a, b, psi0)
     nodes = nodes - b[-1] * psi[-1] * psi[-2] / np.sum(psi[:-1] ** 2, axis=0)
     psi = _orthonormal_values(nodes, a[:-1], b[:-1], psi0)

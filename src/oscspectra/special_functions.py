@@ -154,6 +154,16 @@ def laguerre_antidiagonal_table(kmax: int, a: float, x) -> np.ndarray:
     return out
 
 
+def _hermite_rows(kmax: int, x):
+    """Yield h_0(x), .., h_kmax(x), holding only the last two rows."""
+    prev = np.zeros_like(x)
+    cur = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield cur
+    for k in range(kmax):
+        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
+        yield cur
+
+
 def hermite_table(kmax: int, x) -> np.ndarray:
     """Orthonormal Hermite-function values h_k(x), k = 0..kmax.
 
@@ -164,20 +174,17 @@ def hermite_table(kmax: int, x) -> np.ndarray:
     kmax = _check_degree(kmax)
     x, _ = _as_float_array(x)
     out = np.empty((kmax + 1,) + x.shape, dtype=float)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if kmax >= 1:
-        prev = np.zeros_like(x)
-        cur = out[0]
-        for k in range(kmax):
-            prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
-            out[k + 1] = cur
+    for k, row in enumerate(_hermite_rows(kmax, x)):
+        out[k] = row
     return out
 
 
 def hermite_fn(k: int, x):
-    """Orthonormal Hermite function h_k(x) on the line."""
+    """Orthonormal Hermite function h_k(x) on the line, storing no lower row."""
+    k = _check_degree(k)
     x, scalar = _as_float_array(x)
-    val = hermite_table(k, x)[k]
+    for val in _hermite_rows(k, x):
+        pass
     return float(val) if scalar else val
 
 
@@ -185,6 +192,7 @@ def hermite_fn_multi(alpha, x):
     """Tensor Hermite function: the product of h_{alpha_i}(x_i) over axes.
 
     x may be a single point of length n or an array of shape (npts, n).
+    Each axis keeps one row of its recurrence, so memory is O(npts).
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
@@ -197,10 +205,9 @@ def hermite_fn_multi(alpha, x):
         raise DimensionMismatchError(
             f"point dimension {pts.shape[1]} != multi-index dimension {n}"
         )
-    table = hermite_table(max(alpha), pts.ravel()).reshape((-1,) + pts.shape)
     vals = np.ones(pts.shape[0])
     for d, a in enumerate(alpha):
-        vals = vals * table[a, :, d]
+        vals = vals * hermite_fn(a, pts[:, d])
     return float(vals[0]) if single else vals
 
 

@@ -229,6 +229,55 @@ def test_project_grid_file(tmp_path, capsys):
     assert all(abs(float(r["proj_polar"]) - float(r["f"])) < 5e-2 for r in rows)
 
 
+def _write_gaussian_grid(path, n, npts=1500):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-3, 3, size=(npts, n))
+    vals = np.exp(-0.5 * np.sum(pts * pts, axis=1))
+    header = ",".join(f"x{d + 1}" for d in range(n)) + ",value\n"
+    rows = (",".join(repr(float(v)) for v in (*p, f)) for p, f in zip(pts, vals))
+    path.write_text(header + "\n".join(rows) + "\n")
+
+
+def test_project_grid_file_two_dimensional(tmp_path, capsys):
+    pytest.importorskip("scipy.interpolate")
+    path = tmp_path / "grid2.csv"
+    _write_gaussian_grid(path, 2)
+    code, out, _ = run_cli(
+        ["project", "--n", "2", "--grid-file", str(path), "--m", "0"], capsys
+    )
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 1500
+    # the planar ground state again, now through piecewise-linear
+    # interpolation on a Delaunay triangulation of the samples
+    assert all(abs(float(r["diff"])) < 2e-2 for r in rows)
+    assert all(abs(float(r["proj_polar"]) - float(r["f"])) < 5e-2 for r in rows)
+
+
+def test_project_grid_file_without_scipy_names_the_extra(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.interpolate", None)
+    path = tmp_path / "grid2.csv"
+    _write_gaussian_grid(path, 2, npts=20)
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--n", "2", "--grid-file", str(path), "--m", "0"])
+    assert exc.value.code == 2
+    assert "oscspectra[grid]" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(oscspectra.__file__).resolve().parents[1])
+    code = "import sys, oscspectra; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_project_grid_file_schema_violation(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")

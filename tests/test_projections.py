@@ -22,6 +22,7 @@ from oscspectra.fields import (
 from oscspectra.harmonics import sph_basis
 from oscspectra.projections import (
     coefficient_decay_probe,
+    default_radial_rules,
     eigen_order_study,
     field_norm_sq,
     hecke_bochner,
@@ -31,7 +32,7 @@ from oscspectra.projections import (
     project,
     rotation_commutes,
 )
-from oscspectra.quadrature import RADIAL_N, QuadratureRule, gauss_hermite, tensor_rule
+from oscspectra.quadrature import RADIAL_N, QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
 from oscspectra.verify import run_suite
 
 
@@ -110,6 +111,10 @@ def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_onc
     monkeypatch.setattr(ScalarField, "__call__", record_call)
     for n, degrees in ((1, 2), (2, 4), (3, 4)):
         del radial[:], grids[:], grid_calls[:]
+        # radial rules are memoized: start cold, so each one the suite
+        # needs is built, and recorded, inside this run
+        gauss_radial.cache_clear()
+        default_radial_rules.cache_clear()
         run_suite(n, 8)
         one_rule = (f"radial(beta={n / 2 - 1:g})", RADIAL_N)
         assert radial and all(t == one_rule or t[0].startswith("radial_compact") for t in radial)

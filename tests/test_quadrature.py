@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from oscspectra import quadrature
+from oscspectra.cli import main
 from oscspectra.errors import ContractViolationError, ResourceLimitError
 from oscspectra.fields import f0_gauss
 from oscspectra.harmonics import sph_basis
+from oscspectra.projections import default_radial_rules
 from oscspectra.quadrature import (
     gauss_hermite,
     gauss_legendre,
@@ -20,8 +23,13 @@ from oscspectra.special_functions import hermite_fn_multi, hermite_table, laguer
 
 @pytest.mark.parametrize(
     "build, args",
-    [(gauss_hermite, (12,)), (gauss_radial, (20, 0.5)), (sphere_rule, (3, 6))],
-    ids=["hermite", "radial", "sphere"],
+    [
+        (gauss_hermite, (12,)),
+        (gauss_radial, (20, 0.5)),
+        (sphere_rule, (3, 6)),
+        (default_radial_rules, (3, 1.0)),
+    ],
+    ids=["hermite", "radial", "sphere", "compact"],
 )
 def test_rule_builders_are_memoized_and_read_only(build, args):
     rule = build(*args)
@@ -29,6 +37,20 @@ def test_rule_builders_are_memoized_and_read_only(build, args):
     for arr in (rule.nodes, rule.weights):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_warm_verify_pass_runs_no_eigensolve(monkeypatch):
+    # every rule a verify pass needs, compact radial rules included, is
+    # memoized, so a repeated pass runs no Golub-Welsch solve at all
+    argv = ["verify", "--n", "3", "--m-max", "4", "--seed", "3"]
+    main(argv)
+    solves = []
+    build = quadrature._golub_welsch
+    monkeypatch.setattr(
+        quadrature, "_golub_welsch", lambda *args: solves.append(len(args[0])) or build(*args)
+    )
+    assert main(argv) == 0
+    assert solves == []
 
 
 def test_gauss_hermite_total_mass():
