@@ -40,12 +40,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A real-valued point-evaluator on R^n with declared dimension."""
+    """A real-valued point-evaluator on R^n with declared dimension.
+
+    ``band``, when declared, is the largest harmonic degree of f on spheres
+    about 0; polar extraction sizes its sphere rule from it.
+    """
 
     n: int
     fn: Callable[[np.ndarray], np.ndarray]
     support_radius: Optional[float] = None
     label: str = ""
+    band: Optional[int] = None
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -65,37 +70,38 @@ def polar_eigenvalue(n: int, k: int, s: int) -> int:
 
 
 def gaussian_field(n: int) -> ScalarField:
-    return ScalarField(n, lambda p: np.exp(-0.5 * np.sum(p * p, axis=1)), label="gauss")
+    fn = lambda p: np.exp(-0.5 * np.einsum("pi,pi->p", p, p))
+    return ScalarField(n, fn, label="gauss", band=0)
 
 
 def bump_field(n: int, radius: float = 1.0) -> ScalarField:
     """Smooth compactly supported bump exp(-1/(1-|x/R|^2)) on |x| < R."""
 
     def fn(p, radius=radius):
-        q = np.sum(p * p, axis=1) / (radius * radius)
+        q = np.einsum("pi,pi->p", p, p) / (radius * radius)
         out = np.zeros(len(p))
         inside = q < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - q[inside]))
         return out
 
-    return ScalarField(n, fn, support_radius=radius, label=f"bump(R={radius:g})")
+    return ScalarField(n, fn, support_radius=radius, label=f"bump(R={radius:g})", band=0)
 
 
 def truncated_gaussian_field(n: int, radius: float = 1.0) -> ScalarField:
     """Gaussian chopped to |x| < R; not smooth at the cut."""
 
     def fn(p, radius=radius):
-        q = np.sum(p * p, axis=1)
+        q = np.einsum("pi,pi->p", p, p)
         return np.where(q < radius * radius, np.exp(-0.5 * q), 0.0)
 
-    return ScalarField(n, fn, support_radius=radius, label=f"truncgauss(R={radius:g})")
+    return ScalarField(n, fn, support_radius=radius, label=f"truncgauss(R={radius:g})", band=0)
 
 
 def hermite_eigenfield(alpha) -> ScalarField:
     """The tensor Hermite eigenfunction h_alpha as a field."""
     alpha = tuple(int(a) for a in alpha)
     return ScalarField(
-        len(alpha), lambda p: hermite_fn_multi(alpha, p), label=f"hermite{alpha}"
+        len(alpha), lambda p: hermite_fn_multi(alpha, p), label=f"hermite{alpha}", band=sum(alpha)
     )
 
 
@@ -109,10 +115,10 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     solid = basis.combination(np.eye(basis.dim)[j - 1])
 
     def fn(p):
-        r = np.linalg.norm(p, axis=1)
+        r = np.sqrt(np.einsum("pi,pi->p", p, p))
         return laguerre_fn(k, beta, r) * solid(p)
 
-    return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})")
+    return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})", band=s)
 
 
 def polar_series(n: int, matrices: dict, points) -> np.ndarray:
@@ -124,7 +130,7 @@ def polar_series(n: int, matrices: dict, points) -> np.ndarray:
     total = np.zeros(len(points))
     for i in range(0, len(points), SWEEP_BLOCK):
         block = points[i : i + SWEEP_BLOCK]
-        r = np.linalg.norm(block, axis=1)
+        r = np.sqrt(np.einsum("pi,pi->p", block, block))
         for s, rows in sph_table(n, max(matrices, default=0), block):
             if s in matrices:
                 ell = laguerre_fn_table(len(matrices[s]) - 1, n / 2.0 - 1.0 + s, r)
@@ -136,10 +142,12 @@ def radial_harmonic_field(f0: Callable, solid: SolidHarmonic, label: str = "") -
     """f(x) = f0(|x|) * Y(x) for a radial profile and a solid harmonic."""
 
     def fn(p):
-        r = np.linalg.norm(p, axis=1)
+        r = np.sqrt(np.einsum("pi,pi->p", p, p))
         return np.asarray(f0(r), dtype=float) * solid(p)
 
-    return ScalarField(solid.n, fn, label=label or f"radial*Y(deg={solid.degree})")
+    return ScalarField(
+        solid.n, fn, label=label or f"radial*Y(deg={solid.degree})", band=solid.degree
+    )
 
 
 def random_solid_harmonic(n: int, s: int, rng: np.random.Generator) -> SolidHarmonic:
@@ -170,7 +178,8 @@ def random_band_limited(
     matrices: dict = {}
     for (k, s, j), c in coeffs.items():
         matrices.setdefault(s, np.zeros(((m_max - s) // 2 + 1, dim_harmonic(n, s))))[k, j - 1] = c
-    field = ScalarField(n, partial(polar_series, n, matrices), label=f"bandlimited(m<={m_max})")
+    label = f"bandlimited(m<={m_max})"
+    field = ScalarField(n, partial(polar_series, n, matrices), label=label, band=m_max)
     return field, coeffs
 
 

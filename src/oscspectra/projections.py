@@ -87,6 +87,8 @@ class SpectralCoefficients:
     basis: str
     entries: Dict[tuple, float]
     m_max: int
+    # polar tables: degree s -> (k, j) matrix of the entries (k, s, j + 1)
+    matrices: Optional[Dict[int, np.ndarray]] = dataclasses.field(default=None, repr=False)
 
     def norm_sq(self) -> float:
         return float(sum(v * v for v in self.entries.values()))
@@ -167,27 +169,59 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     """All <f, phi_{k,s,j}> with s + 2k <= m_max.
 
     f is evaluated once, on the radial x sphere grid of one radial rule.
-    For each degree s, F_{s,j}(r) = <f(r .), Y_{s,j}> is formed by sphere
-    quadrature at every radial node, then paired with ell_k^{n/2-1+s}
-    radially.  The r^{+s} factor of phi_{k,s,j} is folded into the radial
-    weight, so no division by a small radius ever happens.
+    The sphere rule is a z rule times nphi uniform azimuths, and each
+    Y_{s,j} is its value at the meridian point (sqrt(1-z^2), 0, .., z)
+    times cos(m phi) or sin(m phi).  So F_{s,j}(r) = <f(r .), Y_{s,j}>
+    takes two stages: one matrix product of the field values against cos
+    and sin of every order m <= m_max over the azimuths, then, per degree,
+    one batched matvec over the z nodes against the sph_table rows at the
+    meridian points (a sin row is 0 there and takes its cos twin's
+    value), each row against its own azimuth column.  F is then paired with
+    ell_k^{n/2-1+s} radially; the r^{+s} factor of phi_{k,s,j} is folded
+    into the radial weight, so no division by a small radius ever happens.
+
+    The sphere degree is the larger of 2 m_max + 2 + _SPHERE_BAND_MARGIN
+    and f.band + m_max, so a field that declares its band integrates
+    exactly against every Y_{s,j} with s <= m_max.
     """
     n = f.n
     if n > 3:
         raise ValueError("polar coefficient extraction needs an explicit basis (n <= 3)")
-    sphere = sphere_rule(n, 2 * m_max + 2 + _SPHERE_BAND_MARGIN)
+    degree = 2 * m_max + 2 + _SPHERE_BAND_MARGIN
+    if f.band is not None:
+        degree = max(degree, f.band + m_max)
+    sphere = sphere_rule(n, degree)
     radial = default_radial_rules(n, f.support_radius)
-    r = radial.nodes
+    r, z, wz = radial.nodes, sphere.line.nodes, sphere.line.weights
+    nphi = len(sphere.nodes) // len(z)
     fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
-    fv = fv.reshape(len(r), len(sphere.nodes))
+    # azimuth stage: column c holds order m = (c + 1) // 2, cos(m phi) at
+    # odd c and c = 0, sin(m phi) at even c > 0, times the azimuth weight
+    col = np.arange(2 * m_max + 1)
+    angle = np.outer(2.0 * math.pi * np.arange(nphi) / nphi, (col + 1) // 2)
+    table = np.where(col % 2 | (col == 0), np.cos(angle), np.sin(angle))
+    table *= sphere.weights[0] / wz[0]
+    az = (table.T @ fv.reshape(-1, nphi).T).reshape(len(col), len(r), len(z))
+    # meridian stage, per degree: one batched matvec over z of each row's
+    # azimuth column against the row at the meridian points
+    meridian = np.zeros((len(z), n))
+    meridian[:, 0] = np.sqrt(1.0 - z * z)
+    meridian[:, -1] = z
+    matrices: Dict[int, np.ndarray] = {}
     entries: Dict[tuple, float] = {}
-    for s, ysph in sph_table(n, m_max, sphere.nodes):
-        fsj = fv @ (ysph * sphere.weights).T  # (radial, d_s)
+    for s, rows in sph_table(n, m_max, meridian):
+        # row j reads column start + j: rows (cos s, sin s) at n = 2, all
+        # orders up to s at n = 3, and n = 1 has one azimuth, so column 0
+        d = len(rows)
+        start = 0 if n == 1 else 2 * s + 1 - d
+        c = np.arange(start, start + d)
+        cos_row = c - start - ((c % 2 == 0) & (c > 0))  # a sin row is 0 here
+        fsj = np.matmul(az[start : start + d], (rows[cos_row] * wz)[:, :, None])[:, :, 0]
         ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
-        coeffs = (ell * (radial.weights * r**s)) @ fsj  # (kmax+1, d_s)
-        for (k, j), value in np.ndenumerate(coeffs):
-            entries[(k, s, j + 1)] = float(value)
-    return SpectralCoefficients(n, "polar", entries, m_max)
+        matrices[s] = coeffs = (ell * (radial.weights * r**s)) @ fsj.T  # (kmax+1, d_s)
+        keys = [(k, s, j) for k in range(len(coeffs)) for j in range(1, d + 1)]
+        entries.update(zip(keys, coeffs.ravel().tolist()))
+    return SpectralCoefficients(n, "polar", entries, m_max, matrices)
 
 
 def project(
@@ -223,7 +257,7 @@ def project(
                 out += term
             return out
 
-        return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})")
+        return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})", band=m)
     if basis != "polar":
         raise ValueError(f"unknown basis {basis!r}")
     matrices = {}  # degree s = m - 2k -> (k, j) matrix, nonzero in row k only
@@ -234,7 +268,7 @@ def project(
             matrices[s] = np.zeros((k + 1, dim))
             matrices[s][k] = [coeffs.entries.get((k, s, j + 1), 0.0) for j in range(dim)]
     label = f"proj[m={m},polar]({f.label})"
-    return ScalarField(n, partial(polar_series, n, matrices), label=label)
+    return ScalarField(n, partial(polar_series, n, matrices), label=label, band=m)
 
 
 def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:
@@ -263,10 +297,10 @@ def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float
     c = float(np.sum(contrib))
 
     def fn(pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(np.einsum("pi,pi->p", pts, pts))
         return c * laguerre_fn_table(big_k, beta, r)[big_k] * solid(pts)
 
-    return c, ScalarField(n, fn, label=f"hecke(M={big_m},K={big_k})")
+    return c, ScalarField(n, fn, label=f"hecke(M={big_m},K={big_k})", band=big_m)
 
 
 def rotation_commutes(
@@ -289,7 +323,9 @@ def rotation_commutes(
     if g.shape != (n, n) or np.abs(g.T @ g - np.eye(n)).max() > 1e-12:
         raise ContractViolationError("g must be an orthogonal n x n matrix")
     level = max(m, extraction_level or m)
-    rotated = ScalarField(n, lambda p: f(p @ g.T), support_radius=f.support_radius)
+    rotated = ScalarField(
+        n, lambda p: f(p @ g.T), support_radius=f.support_radius, band=f.band
+    )
     proj_rotated = project(rotated, m, "polar", polar_coeffs(rotated, level))
     proj_plain = project(f, m, "polar", polar_coeffs(f, level))
     if points is None:
@@ -319,14 +355,11 @@ def coefficient_decay_probe(phi: ScalarField, levels: int) -> DecayProbe:
     zero (parity-annihilated channels at n = 1) stay in the table but
     cannot enter the log fit.
     """
-    coeffs = polar_coeffs(phi, levels)
     n = phi.n
-    by_ks: Dict[Tuple[int, int], float] = {}
-    for (k, s, _j), v in coeffs.entries.items():
-        key = (k, s)
-        by_ks[key] = max(by_ks.get(key, 0.0), abs(v))
     rows = sorted(
-        (polar_eigenvalue(n, k, s), k, s, v) for (k, s), v in by_ks.items()
+        (polar_eigenvalue(n, k, s), k, s, v)
+        for s, c in polar_coeffs(phi, levels).matrices.items()
+        for k, v in enumerate(np.abs(c).max(axis=1).tolist())
     )
     lams = np.array([r[0] for r in rows], dtype=float)
     vals = np.array([r[3] for r in rows])

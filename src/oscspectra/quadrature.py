@@ -52,7 +52,8 @@ class QuadratureRule:
     reciprocal of the rule's weight function at each node, so that
     ``rule.integrate(f)`` approximates the integral of a raw evaluator f
     against the rule's measure.  Both arrays are read-only views, so a
-    memoized rule can be shared by every caller.
+    memoized rule can be shared by every caller.  A product rule keeps its
+    one-dimensional factor in ``line`` (tensor_rule, sphere_rule).
     """
 
     nodes: np.ndarray
@@ -208,19 +209,28 @@ def sphere_rule(n: int, degree: int) -> QuadratureRule:
          degree ``degree``.
     n=3: Gauss-Legendre in the polar cosine times uniform azimuth, exact for
          spherical polynomials of degree <= ``degree``.
+
+    Every case is one product: a rule in the last coordinate z, kept in
+    ``line`` (Gauss-Legendre at n=3, {-1, +1} at n=1, the single node z=0
+    at n=2), times nphi uniform azimuths phi_i = 2 pi i / nphi (nphi=1 at
+    n=1).  Node iz * nphi + i is the meridian point (sqrt(1-z^2), 0, .., z)
+    of line node iz turned through phi_i in the first two coordinates, and
+    its weight is the line weight times the uniform azimuth weight.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if n == 1:
         nodes = np.array([[-1.0], [1.0]])
         weights = np.array([1.0, 1.0])
-        return QuadratureRule(nodes, weights, "sphere(1)", max(degree, 1), ndim=1)
+        line = QuadratureRule(nodes[:, 0], weights, "sphere(1).z", max(degree, 1))
+        return QuadratureRule(nodes, weights, "sphere(1)", max(degree, 1), line=line, ndim=1)
     if n == 2:
         m = degree + 1
         theta = 2.0 * math.pi * np.arange(m) / m
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(m, 2.0 * math.pi / m)
-        return QuadratureRule(nodes, weights, "sphere(2)", degree, ndim=2)
+        line = QuadratureRule(np.zeros(1), np.ones(1), "sphere(2).z", degree)
+        return QuadratureRule(nodes, weights, "sphere(2)", degree, line=line, ndim=2)
     if n == 3:
         nz = (degree + 2) // 2
         nphi = degree + 1
@@ -232,7 +242,8 @@ def sphere_rule(n: int, degree: int) -> QuadratureRule:
         zz = np.repeat(z, nphi)
         nodes = np.column_stack([x, y, zz])
         weights = np.repeat(wz * (2.0 * math.pi / nphi), nphi)
-        return QuadratureRule(nodes, weights, "sphere(3)", degree, ndim=3)
+        line = QuadratureRule(z, wz, "gauss_legendre", 2 * nz - 1)
+        return QuadratureRule(nodes, weights, "sphere(3)", degree, line=line, ndim=3)
     raise ValueError(f"sphere_rule supports n in {{1, 2, 3}}, got n={n}")
 
 

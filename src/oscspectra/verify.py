@@ -230,7 +230,7 @@ def check_rotation(n, m_cap, seed, tol, count=10, reflections=3) -> CheckRow:
         q = q * np.sign(np.diag(r))
         if i < reflections:
             q[0] = -q[0]
-        rotated = fl.ScalarField(n, lambda p: f(p @ q.T))
+        rotated = fl.ScalarField(n, lambda p: f(p @ q.T), band=f.band)
         coeffs_rot = polar_coeffs(rotated, band)
         for m in range(band + 1):
             lhs = project(rotated, m, "polar", coeffs_rot)(pts)

@@ -1,7 +1,7 @@
 """Independent oracles for the test suite: power-series evaluations,
-finite-difference residuals, per-degree spherical harmonics through angles
-and the O(m^2) per-term polar kernel, kept deliberately separate from the
-recurrence implementations they check.
+finite-difference residuals, per-degree spherical harmonics through angles,
+the O(m^2) per-term polar kernel and the full-sphere polar contraction,
+kept deliberately separate from the implementations they check.
 
 The series run in exact rational arithmetic (the orders used in the tests
 are rational and a float argument is an exact binary rational), so the
@@ -12,7 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from oscspectra.harmonics import dim_harmonic, zonal
+from oscspectra.harmonics import dim_harmonic, sph_table, zonal
+from oscspectra.projections import default_radial_rules
+from oscspectra.quadrature import sphere_rule
+from oscspectra.special_functions import laguerre_fn_table
 
 
 def laguerre_series(k, beta, t):
@@ -171,3 +174,24 @@ def solid_harmonic_rows(n, s, points):
             rows.append(math.sqrt(2.0) * pbar[m] * np.sin(m * phi))
         rows = np.vstack(rows)
     return rows * r**s
+
+
+def polar_coeffs_full_sphere(f, m_max, sphere_degree):
+    """{(k, s, j): <f, phi_{k,s,j}>} for s + 2k <= m_max by contracting the
+    field values on every node of sphere_rule(n, sphere_degree) against
+    every harmonic row there, degree by degree, then pairing radially with
+    ell_k^{n/2-1+s} on the same radial rule as polar_coeffs."""
+    n = f.n
+    sphere = sphere_rule(n, sphere_degree)
+    radial = default_radial_rules(n, f.support_radius)
+    r = radial.nodes
+    fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
+    fv = fv.reshape(len(r), len(sphere.nodes))
+    entries = {}
+    for s, ysph in sph_table(n, m_max, sphere.nodes):
+        fsj = fv @ (ysph * sphere.weights).T  # (radial, d_s)
+        ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
+        coeffs = (ell * (radial.weights * r**s)) @ fsj
+        for (k, j), value in np.ndenumerate(coeffs):
+            entries[(k, s, j + 1)] = float(value)
+    return entries

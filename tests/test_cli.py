@@ -200,6 +200,19 @@ def test_project_mismatched_parity_level_vanishes(capsys):
     assert all(abs(float(r["proj_polar"])) < 1e-10 for r in rows)
 
 
+def test_project_high_band_hermite_vanishes_at_low_level(capsys):
+    # h_(24,0,0) declares band 24, so the polar sphere rule resolves it and
+    # its level-2 projection is 0 in both bases
+    code, out, _ = run_cli(
+        ["project", "--n", "3", "--field", "hermite:gamma=(24,0,0)", "--m", "2", "--points", "40"],
+        capsys,
+    )
+    rows = parse_csv(out)
+    assert code == 0 and len(rows) == 40
+    assert max(abs(float(r["proj_polar"])) for r in rows) < 1e-12
+    assert max(abs(float(r["proj_hermite"])) for r in rows) < 1e-12
+
+
 def test_project_unknown_catalog_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "--n", "2", "--field", "mystery", "--m", "1"])

@@ -20,6 +20,7 @@ from oscspectra.fields import (
     truncated_gaussian_field,
 )
 from oscspectra.harmonics import sph_basis
+from oscspectra.quadrature import sphere_rule
 from oscspectra.projections import (
     coefficient_decay_probe,
     default_radial_rules,
@@ -34,6 +35,8 @@ from oscspectra.projections import (
 )
 from oscspectra.quadrature import RADIAL_N, QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
 from oscspectra.verify import run_suite
+
+from _oracles import polar_coeffs_full_sphere
 
 
 def offdiag_max(coeffs, key):
@@ -77,6 +80,94 @@ def test_polar_coeffs_eigenfield_orthonormality():
             f, exact = random_band_limited(n, m, rng)
             c = polar_coeffs(f, m)
             assert max(abs(v - exact.get(key, 0.0)) for key, v in c.entries.items()) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, make, m_max",
+    [
+        (1, lambda rng: random_band_limited(1, 9, rng)[0], 9),
+        (1, lambda rng: bump_field(1), 12),
+        (2, lambda rng: random_band_limited(2, 8, rng)[0], 8),
+        (2, lambda rng: truncated_gaussian_field(2), 19),
+        (3, lambda rng: random_band_limited(3, 8, rng)[0], 8),
+        (3, lambda rng: hermite_eigenfield((3, 1, 2)), 7),
+        (3, lambda rng: bump_field(3), 38),
+    ],
+    ids=["n1-band", "n1-bump", "n2-band", "n2-truncgauss", "n3-band", "n3-hermite", "n3-bump-38"],
+)
+def test_polar_coeffs_two_stage_matches_full_sphere_oracle(n, make, m_max):
+    f = make(np.random.default_rng(40 + m_max))
+    c = polar_coeffs(f, m_max)
+    want = polar_coeffs_full_sphere(f, m_max, 2 * m_max + 14)
+    assert c.entries.keys() == want.keys()
+    scale = max(abs(v) for v in want.values())
+    assert max(abs(c.entries[key] - v) for key, v in want.items()) <= 1e-13 * scale
+
+
+def test_polar_coeffs_sweeps_harmonics_on_the_meridian_only(monkeypatch):
+    # the harmonic rows are needed on the nz meridian points, not on all
+    # nz * nphi sphere nodes
+    import oscspectra.projections as projections_module
+
+    sizes = []
+    table = projections_module.sph_table
+
+    def counting_table(n, s_max, points):
+        sizes.append(len(points))
+        return table(n, s_max, points)
+
+    monkeypatch.setattr(projections_module, "sph_table", counting_table)
+    m_max = 10
+    polar_coeffs(bump_field(3), m_max)
+    sphere = sphere_rule(3, 2 * m_max + 14)
+    assert sizes == [len(sphere.line.nodes)]
+    assert len(sphere.nodes) == len(sphere.line.nodes) * (2 * m_max + 15)
+
+
+def test_polar_coeffs_keep_per_degree_matrices():
+    f, _ = random_band_limited(3, 6, np.random.default_rng(31))
+    c = polar_coeffs(f, 6)
+    assert sorted(c.matrices) == list(range(7))
+    for s, mat in c.matrices.items():
+        assert mat.shape == ((6 - s) // 2 + 1, 2 * s + 1)
+        for (k, j), value in np.ndenumerate(mat):
+            assert c.entries[(k, s, j + 1)] == value
+
+
+def test_declared_band_sizes_the_sphere_rule():
+    # h_(24,0,0) has harmonic degree 24 on spheres; a rule of degree
+    # 2m + 14 = 18 aliases it into level 2, where its projection is 0
+    f = hermite_eigenfield((24, 0, 0))
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(50, 3))
+    assert np.abs(project(f, 2, "polar")(pts)).max() < 1e-12
+    undeclared = dataclasses.replace(f, band=None)
+    assert np.abs(project(undeclared, 2, "polar")(pts)).max() > 1e-6
+
+
+def test_fields_declare_their_band(monkeypatch):
+    rng = np.random.default_rng(5)
+    solid = random_solid_harmonic(3, 3, rng)
+    f, _ = random_band_limited(3, 5, rng)
+    g = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    assert gaussian_field(3).band == bump_field(3).band == truncated_gaussian_field(3).band == 0
+    assert hermite_eigenfield((2, 0, 3)).band == 5
+    assert polar_eigenfield(3, 1, 2, 1).band == 2
+    assert radial_harmonic_field(f0_gauss_poly, solid).band == 3
+    assert f.band == 5
+    assert project(f, 4, "polar").band == project(f, 4, "hermite").band == 4
+    assert hecke_bochner(f0_gauss_poly, solid, 1)[1].band == 3
+    assert ScalarField(3, f.fn).band is None
+    import oscspectra.projections as projections_module
+
+    seen = []
+
+    def record(field, m_max):
+        seen.append(field.band)
+        return polar_coeffs(field, m_max)
+
+    monkeypatch.setattr(projections_module, "polar_coeffs", record)
+    rotation_commutes(f, g, 3, extraction_level=5)
+    assert seen == [5, 5]  # the rotated field keeps the band of f
 
 
 def test_polar_coeffs_evaluates_field_once():
@@ -305,6 +396,17 @@ def test_decay_probe_zero_field():
     probe = coefficient_decay_probe(zero, 6)
     assert all(row[3] == 0.0 for row in probe.rows)
     assert math.isnan(probe.slope)
+
+
+def test_decay_probe_rows_are_max_over_j_of_polar_coeffs():
+    for n, levels in ((1, 9), (2, 10), (3, 12)):
+        field = bump_field(n)
+        probe = coefficient_decay_probe(field, levels)
+        want = {}
+        for (k, s, _j), v in polar_coeffs(field, levels).entries.items():
+            want[(k, s)] = max(want.get((k, s), 0.0), abs(v))
+        rows = sorted((polar_eigenvalue(n, k, s), k, s, v) for (k, s), v in want.items())
+        assert probe.rows == rows
 
 
 def test_decay_probe_bump_vs_truncated_gaussian():

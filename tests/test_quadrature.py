@@ -153,6 +153,29 @@ def test_sphere_rule_gram_degree_four():
     assert np.abs(gram - np.eye(9)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_sphere_rule_is_z_rule_times_uniform_azimuths(n):
+    # node iz * nphi + i is the meridian point of line node iz turned
+    # through 2 pi i / nphi; its weight is the line weight times one
+    # uniform azimuth weight
+    rule = sphere_rule(n, 9)
+    z, wz = rule.line.nodes, rule.line.weights
+    nphi = len(rule.nodes) // len(z)
+    assert len(z) * nphi == len(rule.nodes)
+    phi = 2.0 * math.pi * np.arange(nphi) / nphi
+    rho = np.sqrt(1.0 - z * z)[:, None]
+    want = np.zeros((len(z), nphi, n))
+    want[..., 0] = rho * np.cos(phi)
+    if n > 1:
+        want[..., 1] = rho * np.sin(phi)
+    if n != 2:  # the circle's line is the single node z = 0
+        want[..., -1] = z[:, None]
+    assert np.abs(rule.nodes - want.reshape(-1, n)).max() < 1e-15
+    azimuth = rule.weights.reshape(len(z), nphi) / wz[:, None]
+    assert np.abs(azimuth - azimuth[0, 0]).max() < 1e-15
+    assert azimuth[0, 0] * nphi * wz.sum() == pytest.approx(rule.weights.sum(), rel=1e-14)
+
+
 def test_sphere_rule_unsupported_dimension():
     with pytest.raises(ValueError):
         sphere_rule(4, 6)
