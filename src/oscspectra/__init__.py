@@ -61,7 +61,6 @@ from .polyspaces import (
 )
 from .projections import (
     DecayProbe,
-    PolarIndex,
     SpectralCoefficients,
     coefficient_decay_probe,
     eigen_order_study,

@@ -172,15 +172,21 @@ def cmd_kernel(args, parser):
 
 
 def _load_grid_field(path, n, parser):
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = [f"x{d + 1}" for d in range(n)] + ["value"]
-        if header is None or [h.strip() for h in header] != expected:
-            parser.error(
-                f"grid file must have header {','.join(expected)}, got {header}"
-            )
-        data = np.array([[float(v) for v in row] for row in reader if row])
+    expected = [f"x{d + 1}" for d in range(n)] + ["value"]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh)) or [None]
+    except (OSError, UnicodeDecodeError) as exc:
+        parser.error(f"cannot read grid file {path}: {getattr(exc, 'strerror', None) or exc}")
+    if header is None or [h.strip() for h in header] != expected:
+        parser.error(f"grid file must have header {','.join(expected)}, got {header}")
+    rows = [row for row in rows if row]
+    try:
+        if any(len(row) != n + 1 for row in rows):
+            raise ValueError(f"every row needs {n + 1} values")
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:
+        parser.error(f"grid file {path}: {exc}")
     if data.size == 0:
         parser.error("grid file has no data rows")
     pts, vals = data[:, :n], data[:, n]

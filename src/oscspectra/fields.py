@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .harmonics import SWEEP_BLOCK, SolidHarmonic, dim_harmonic, sph_basis, sph_table
-from .special_functions import hermite_fn_multi, laguerre_fn, laguerre_fn_table
+from .special_functions import hermite_fn_multi, laguerre_fn_table
 
 __all__ = [
     "ScalarField",
@@ -51,6 +51,10 @@ class ScalarField:
     support_radius: Optional[float] = None
     label: str = ""
     band: Optional[int] = None
+
+    def __post_init__(self):
+        if self.support_radius is not None and not 0.0 < self.support_radius < np.inf:
+            raise ValueError(f"support radius must be positive and finite, got {self.support_radius:g}")
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -107,17 +111,14 @@ def hermite_eigenfield(alpha) -> ScalarField:
 
 def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     """The polar eigenfunction: ell_k^{n/2-1+s}(|x|) times the j-th solid
-    harmonic of degree s (1-based j)."""
-    basis = sph_basis(n, s)
-    if not 1 <= j <= basis.dim:
-        raise ValueError(f"j must lie in 1..{basis.dim} for (n, s)=({n}, {s})")
-    beta = n / 2.0 - 1.0 + s
-    solid = basis.combination(np.eye(basis.dim)[j - 1])
-
-    def fn(p):
-        r = np.sqrt(np.einsum("pi,pi->p", p, p))
-        return laguerre_fn(k, beta, r) * solid(p)
-
+    harmonic of degree s (1-based j), as a polar series with a single 1 at
+    (k, j - 1)."""
+    dim = sph_basis(n, s).dim
+    if k < 0 or not 1 <= j <= dim:
+        raise ValueError(f"k must be >= 0 and j in 1..{dim} for (n, s)=({n}, {s}), got k={k}, j={j}")
+    unit = np.zeros((k + 1, dim))
+    unit[k, j - 1] = 1.0
+    fn = partial(polar_series, n, {s: unit})
     return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})", band=s)
 
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Dict, Optional, Tuple
+from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import ContractViolationError, IntegrabilityError
 from .fields import ScalarField, polar_eigenvalue, polar_series
-from .harmonics import SolidHarmonic, dim_harmonic, sph_table
+from .harmonics import SolidHarmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
     LINE_N,
@@ -37,7 +38,6 @@ from .quadrature import (
 from .special_functions import hermite_table, laguerre_fn_table
 
 __all__ = [
-    "PolarIndex",
     "SpectralCoefficients",
     "hermite_coeffs",
     "polar_coeffs",
@@ -66,49 +66,54 @@ _NORM_SPHERE_DEGREE = 40
 _SPHERE_BAND_MARGIN = 12
 
 
-@dataclass(frozen=True)
-class PolarIndex:
-    """Index (k, s, j) of a polar eigenfunction; eigenvalue n + 2(s + 2k)."""
-
-    k: int
-    s: int
-    j: int
-
-    def eigenvalue(self, n: int) -> int:
-        return polar_eigenvalue(n, self.k, self.s)
-
-
 @dataclass
 class SpectralCoefficients:
-    """Expansion coefficients of a field, keyed by multi-index tuples
-    (hermite) or (k, s, j) tuples (polar), up to truncation level m_max."""
+    """Expansion coefficients of a field up to truncation level m_max, kept
+    as arrays: a polar table holds one (k, j) matrix per harmonic degree s
+    in ``matrices`` (entry (k, j) is <f, phi_{k,s,j+1}>), a Hermite table
+    one ``tensor`` of shape (m_max+1,)^n (entry alpha is <f, h_alpha>, zero
+    where |alpha| > m_max)."""
 
     n: int
     basis: str
-    entries: Dict[tuple, float]
     m_max: int
-    # polar tables: degree s -> (k, j) matrix of the entries (k, s, j + 1)
     matrices: Optional[Dict[int, np.ndarray]] = dataclasses.field(default=None, repr=False)
+    tensor: Optional[np.ndarray] = dataclasses.field(default=None, repr=False)
+
+    @cached_property
+    def entries(self) -> Mapping[tuple, float]:
+        """Read-only {index: value} view of the arrays, keyed by multi-index
+        tuples (Hermite, level by level) or (k, s, j) tuples (polar, degree
+        by degree); built on first access."""
+        if self.basis == "hermite":
+            items = (
+                (alpha, float(self.tensor[alpha]))
+                for m in range(self.m_max + 1)
+                for alpha in multi_indices(self.n, m)
+            )
+        else:
+            items = (
+                ((k, s, j + 1), v)
+                for s, c in self.matrices.items()
+                for (k, j), v in zip(np.ndindex(c.shape), c.ravel().tolist())
+            )
+        return MappingProxyType(dict(items))
 
     def norm_sq(self) -> float:
-        return float(sum(v * v for v in self.entries.values()))
+        arrays = [self.tensor] if self.basis == "hermite" else self.matrices.values()
+        return float(sum(np.vdot(c, c) for c in arrays))
 
     def level_indices(self, m: int) -> list[tuple]:
+        if not 0 <= m <= self.m_max:
+            return []
         if self.basis == "hermite":
-            return [a for a in self.entries if sum(a) == m]
-        return [(k, s, j) for (k, s, j) in self.entries if s + 2 * k == m]
-
-    def level_norm_sq(self, m: int) -> float:
-        return float(sum(self.entries[i] ** 2 for i in self.level_indices(m)))
-
-    def eigenvalue_of(self, index: tuple) -> int:
-        if self.basis == "hermite":
-            return self.n + 2 * sum(index)
-        k, s, _ = index
-        return polar_eigenvalue(self.n, k, s)
-
-    def sorted_items(self):
-        return sorted(self.entries.items())
+            return multi_indices(self.n, m)
+        return [
+            ((m - s) // 2, s, j + 1)
+            for s, c in self.matrices.items()
+            if s <= m and (m - s) % 2 == 0
+            for j in range(c.shape[1])
+        ]
 
     def to_csv(self, target) -> None:
         """Serialize as CSV: basis, index (semicolon-joined), eigenvalue, value."""
@@ -116,9 +121,10 @@ class SpectralCoefficients:
         fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
         try:
             fh.write("basis,index,eigenvalue,value\n")
-            for index, value in self.sorted_items():
+            for index, value in sorted(self.entries.items()):
+                level = sum(index) if self.basis == "hermite" else index[1] + 2 * index[0]
                 joined = ";".join(str(i) for i in index)
-                fh.write(f"{self.basis},{joined},{self.eigenvalue_of(index)},{float(value)!r}\n")
+                fh.write(f"{self.basis},{joined},{self.n + 2 * level},{float(value)!r}\n")
         finally:
             if own:
                 fh.close()
@@ -140,8 +146,8 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     # so after n of them the degree axes are back in order
     for _ in range(n):
         c = np.tensordot(c, a, axes=([0], [1]))
-    entries = {alpha: float(c[alpha]) for m in range(m_max + 1) for alpha in multi_indices(n, m)}
-    return SpectralCoefficients(n, "hermite", entries, m_max)
+    c[np.indices(c.shape).sum(axis=0) > m_max] = 0.0
+    return SpectralCoefficients(n, "hermite", m_max, tensor=c)
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +214,6 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     meridian[:, 0] = np.sqrt(1.0 - z * z)
     meridian[:, -1] = z
     matrices: Dict[int, np.ndarray] = {}
-    entries: Dict[tuple, float] = {}
     for s, rows in sph_table(n, m_max, meridian):
         # row j reads column start + j: rows (cos s, sin s) at n = 2, all
         # orders up to s at n = 3, and n = 1 has one azimuth, so column 0
@@ -218,10 +223,8 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
         cos_row = c - start - ((c % 2 == 0) & (c > 0))  # a sin row is 0 here
         fsj = np.matmul(az[start : start + d], (rows[cos_row] * wz)[:, :, None])[:, :, 0]
         ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
-        matrices[s] = coeffs = (ell * (radial.weights * r**s)) @ fsj.T  # (kmax+1, d_s)
-        keys = [(k, s, j) for k in range(len(coeffs)) for j in range(1, d + 1)]
-        entries.update(zip(keys, coeffs.ravel().tolist()))
-    return SpectralCoefficients(n, "polar", entries, m_max, matrices)
+        matrices[s] = (ell * (radial.weights * r**s)) @ fsj.T  # (kmax+1, d_s)
+    return SpectralCoefficients(n, "polar", m_max, matrices=matrices)
 
 
 def project(
@@ -243,12 +246,10 @@ def project(
     if coeffs.m_max < m:
         raise ContractViolationError(f"coefficients truncated at {coeffs.m_max} < level {m}")
     if basis == "hermite":
-        level = [(a, coeffs.entries[a]) for a in coeffs.level_indices(m)]
+        level = [(a, coeffs.tensor[a]) for a in multi_indices(n, m)]
 
         def fn_h(pts):
             out = np.zeros(len(pts))
-            if not level:
-                return out
             table = hermite_table(m, pts.ravel()).reshape(-1, len(pts), n)
             for alpha, c in level:
                 term = np.full(len(pts), c)
@@ -263,17 +264,17 @@ def project(
     matrices = {}  # degree s = m - 2k -> (k, j) matrix, nonzero in row k only
     for k in range(m // 2 + 1):
         s = m - 2 * k
-        dim = dim_harmonic(n, s)
-        if dim:
-            matrices[s] = np.zeros((k + 1, dim))
-            matrices[s][k] = [coeffs.entries.get((k, s, j + 1), 0.0) for j in range(dim)]
+        if s in coeffs.matrices:
+            matrices[s] = np.zeros((k + 1, coeffs.matrices[s].shape[1]))
+            matrices[s][k] = coeffs.matrices[s][k]
     label = f"proj[m={m},polar]({f.label})"
     return ScalarField(n, partial(polar_series, n, matrices), label=label, band=m)
 
 
 def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:
     """Radial coefficient c = <f0, ell_K^{n/2-1+M}> in L2(r^{n-1+2M} dr) and
-    the closed-form field c * ell_K(|x|) Y(x).
+    the closed-form field c * ell_K(|x|) Y(x), a polar series whose one
+    nonzero row K is c times the coefficients of Y.
 
     The contract: this field equals the projection of f0(|x|) Y(x) onto the
     eigenvalue n + 2(M + 2K), and the projections at every other level of
@@ -295,39 +296,28 @@ def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float
             "<f0, ell_K> does not converge on this rule"
         )
     c = float(np.sum(contrib))
-
-    def fn(pts):
-        r = np.sqrt(np.einsum("pi,pi->p", pts, pts))
-        return c * laguerre_fn_table(big_k, beta, r)[big_k] * solid(pts)
-
+    matrix = np.zeros((big_k + 1, len(solid.coeffs)))
+    matrix[big_k] = c * solid.coeffs
+    fn = partial(polar_series, n, {big_m: matrix})
     return c, ScalarField(n, fn, label=f"hecke(M={big_m},K={big_k})", band=big_m)
 
 
-def rotation_commutes(
-    f: ScalarField,
-    g,
-    m: int,
-    points=None,
-    seed: int = 0,
-    extraction_level: Optional[int] = None,
-) -> float:
+def rotation_commutes(f: ScalarField, g, m: int, points=None, seed: int = 0) -> float:
     """Max pointwise discrepancy between projecting f(g .) and rotating the
     projection of f, at level m.  g must be orthogonal to 1e-12.
 
-    Coefficients are extracted at ``extraction_level`` (default m); pass the
-    band of f when it exceeds m, so the sphere rule resolves every harmonic
-    the field actually carries.
+    The rotated field keeps the band of f, so a field that declares its
+    band gets a sphere rule that resolves every harmonic it carries.
     """
     g = np.asarray(g, dtype=float)
     n = f.n
     if g.shape != (n, n) or np.abs(g.T @ g - np.eye(n)).max() > 1e-12:
         raise ContractViolationError("g must be an orthogonal n x n matrix")
-    level = max(m, extraction_level or m)
     rotated = ScalarField(
         n, lambda p: f(p @ g.T), support_radius=f.support_radius, band=f.band
     )
-    proj_rotated = project(rotated, m, "polar", polar_coeffs(rotated, level))
-    proj_plain = project(f, m, "polar", polar_coeffs(f, level))
+    proj_rotated = project(rotated, m, "polar", polar_coeffs(rotated, m))
+    proj_plain = project(f, m, "polar", polar_coeffs(f, m))
     if points is None:
         points = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(40, n))
     points = np.atleast_2d(np.asarray(points, dtype=float))

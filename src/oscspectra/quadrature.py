@@ -61,7 +61,6 @@ class QuadratureRule:
     domain_tag: str
     exactness_degree: int
     line: Optional["QuadratureRule"] = field(default=None, repr=False)
-    ndim: int = 1
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -223,14 +222,14 @@ def sphere_rule(n: int, degree: int) -> QuadratureRule:
         nodes = np.array([[-1.0], [1.0]])
         weights = np.array([1.0, 1.0])
         line = QuadratureRule(nodes[:, 0], weights, "sphere(1).z", max(degree, 1))
-        return QuadratureRule(nodes, weights, "sphere(1)", max(degree, 1), line=line, ndim=1)
+        return QuadratureRule(nodes, weights, "sphere(1)", max(degree, 1), line=line)
     if n == 2:
         m = degree + 1
         theta = 2.0 * math.pi * np.arange(m) / m
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(m, 2.0 * math.pi / m)
         line = QuadratureRule(np.zeros(1), np.ones(1), "sphere(2).z", degree)
-        return QuadratureRule(nodes, weights, "sphere(2)", degree, line=line, ndim=2)
+        return QuadratureRule(nodes, weights, "sphere(2)", degree, line=line)
     if n == 3:
         nz = (degree + 2) // 2
         nphi = degree + 1
@@ -243,7 +242,7 @@ def sphere_rule(n: int, degree: int) -> QuadratureRule:
         nodes = np.column_stack([x, y, zz])
         weights = np.repeat(wz * (2.0 * math.pi / nphi), nphi)
         line = QuadratureRule(z, wz, "gauss_legendre", 2 * nz - 1)
-        return QuadratureRule(nodes, weights, "sphere(3)", degree, line=line, ndim=3)
+        return QuadratureRule(nodes, weights, "sphere(3)", degree, line=line)
     raise ValueError(f"sphere_rule supports n in {{1, 2, 3}}, got n={n}")
 
 
@@ -263,4 +262,4 @@ def tensor_rule(line: QuadratureRule, n: int) -> QuadratureRule:
     weights = np.ones(total)
     for g in wgrids:
         weights = weights * g.ravel()
-    return QuadratureRule(nodes, weights, f"tensor({n})", line.exactness_degree, line=line, ndim=n)
+    return QuadratureRule(nodes, weights, f"tensor({n})", line.exactness_degree, line=line)

@@ -100,10 +100,10 @@ def check_spans(n, m_max, tol) -> CheckRow:
         a = ps.hermite_span(n, m)
         b = ps.laguerre_harmonic_span(n, m)
         all_equal &= ps.spans_equal(a, b, tol).equal
-        for row_vec in b.matrix:
-            sol, *_ = np.linalg.lstsq(a.matrix.T, row_vec, rcond=None)
-            res = np.abs(a.matrix.T @ sol - row_vec).max()
-            worst = max(worst, res / max(np.abs(row_vec).max(), 1.0))
+        # every Laguerre row is one right-hand side of a single fit
+        sol, *_ = np.linalg.lstsq(a.matrix.T, b.matrix.T, rcond=None)
+        res = np.abs(a.matrix.T @ sol - b.matrix.T).max(axis=0)
+        worst = max(worst, float((res / np.maximum(np.abs(b.matrix).max(axis=1), 1.0)).max()))
     measured = worst if all_equal else math.inf
     return _row("eq", f"polynomial-span coincidence, m<={cap}", n, measured, tol)
 
@@ -330,7 +330,7 @@ def check_oone(m_max, seed, tol) -> CheckRow:
         if fl.polar_eigenvalue(1, k, s) != (1 + 4 * k if s == 0 else 3 + 4 * k):
             return _row("oone", f"eigenvalue mismatch at m={m}", 1, math.inf, tol)
         phi = fl.polar_eigenfield(1, k, s, 1)
-        branch = coeffs.entries[(k, s, 1)] * phi(pts)
+        branch = coeffs.matrices[s][k, 0] * phi(pts)
         generic = project(f, m, "polar", coeffs)(pts)
         worst = max(worst, float(np.abs(branch - generic).max()))
     return _row("oone", f"two-branch reduction, m<={min(m_max, 10)}", 1, worst, tol)

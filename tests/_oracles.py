@@ -1,7 +1,9 @@
 """Independent oracles for the test suite: power-series evaluations,
 finite-difference residuals, per-degree spherical harmonics through angles,
-the O(m^2) per-term polar kernel and the full-sphere polar contraction,
-kept deliberately separate from the implementations they check.
+the O(m^2) per-term polar kernel, the full-sphere polar contraction, the
+entry dict of a coefficient table and the closures that evaluated polar
+eigenfields and Hecke-Bochner closed forms before polar_series, kept
+deliberately separate from the implementations they check.
 
 The series run in exact rational arithmetic (the orders used in the tests
 are rational and a float argument is an exact binary rational), so the
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oscspectra.harmonics import dim_harmonic, sph_table, zonal
+from oscspectra.harmonics import dim_harmonic, sph_basis, sph_table, zonal
 from oscspectra.projections import default_radial_rules
 from oscspectra.quadrature import sphere_rule
 from oscspectra.special_functions import laguerre_fn_table
@@ -195,3 +197,43 @@ def polar_coeffs_full_sphere(f, m_max, sphere_degree):
         for (k, j), value in np.ndenumerate(coeffs):
             entries[(k, s, j + 1)] = float(value)
     return entries
+
+
+def coefficient_entries(coeffs):
+    """The {index: value} dict a coefficient table stored: Hermite indices
+    level by level, leading entry largest first within a level, from every
+    cell of the tensor; polar (k, s, j) degree by degree, then k, then j."""
+    if coeffs.basis == "hermite":
+        cells = [a for a in np.ndindex(coeffs.tensor.shape) if sum(a) <= coeffs.m_max]
+        cells.sort(key=lambda a: (sum(a), [-i for i in a]))
+        return {a: float(coeffs.tensor[a]) for a in cells}
+    entries = {}
+    for s in sorted(coeffs.matrices):
+        for (k, j), value in np.ndenumerate(coeffs.matrices[s]):
+            entries[(k, s, j + 1)] = float(value)
+    return entries
+
+
+def polar_eigenfield_closure(n, k, s, j):
+    """ell_k^{n/2-1+s}(|x|) times the j-th basis solid harmonic, as a
+    Laguerre function times a SolidHarmonic call."""
+    basis = sph_basis(n, s)
+    solid = basis.combination(np.eye(basis.dim)[j - 1])
+
+    def fn(p):
+        r = np.sqrt(np.einsum("pi,pi->p", p, p))
+        return laguerre_fn_table(k, n / 2.0 - 1.0 + s, r)[k] * solid(p)
+
+    return fn
+
+
+def hecke_closed_form_closure(c, solid, big_k):
+    """c ell_K^{n/2-1+M}(|x|) Y(x) as a Laguerre function times a
+    SolidHarmonic call."""
+    beta = solid.n / 2.0 - 1.0 + solid.degree
+
+    def fn(p):
+        r = np.sqrt(np.einsum("pi,pi->p", p, p))
+        return c * laguerre_fn_table(big_k, beta, r)[big_k] * solid(p)
+
+    return fn

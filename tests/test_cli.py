@@ -291,6 +291,46 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        b"x1,x2,value\n0,0,1\n0,1,abc\n",
+        b"x1,x2,value\n0,0,1\n0,1\n",
+        b"x1,x2,value\n0,0\n1,1\n",
+        b"x1,x2,value\n0,\xff,1\n",
+    ],
+    ids=["missing", "non-numeric", "short-row", "short-rows", "not-utf8"],
+)
+def test_project_bad_grid_file_is_usage_error_naming_the_file(content, tmp_path, capsys):
+    path = tmp_path / "grid.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--n", "2", "--grid-file", str(path), "--m", "0"])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--n", "2", "--field", "bump:R=-1", "--m", "1"],
+        ["project", "--n", "2", "--field", "bump:R=0", "--m", "1"],
+        ["project", "--n", "3", "--field", "truncgauss:R=inf", "--m", "1"],
+        ["decay", "--n", "2", "--field", "bump:R=-1"],
+        ["decay", "--n", "1", "--field", "truncgauss:R=nan"],
+        ["project", "--n", "2", "--field", "polar:k=-1", "--m", "1"],
+    ],
+    ids=["bump-negative", "bump-zero", "truncgauss-inf", "decay-bump-negative", "decay-nan", "polar-k"],
+)
+def test_bad_catalog_parameter_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_project_grid_file_schema_violation(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")

@@ -36,7 +36,12 @@ from oscspectra.projections import (
 from oscspectra.quadrature import RADIAL_N, QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
 from oscspectra.verify import run_suite
 
-from _oracles import polar_coeffs_full_sphere
+from _oracles import (
+    coefficient_entries,
+    hecke_closed_form_closure,
+    polar_coeffs_full_sphere,
+    polar_eigenfield_closure,
+)
 
 
 def offdiag_max(coeffs, key):
@@ -104,6 +109,65 @@ def test_polar_coeffs_two_stage_matches_full_sphere_oracle(n, make, m_max):
     assert max(abs(c.entries[key] - v) for key, v in want.items()) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_entries_view_matches_the_stored_dict(n):
+    rng = np.random.default_rng(90 + n)
+    f, _ = random_band_limited(n, 7, rng)
+    for c in (polar_coeffs(f, 7), hermite_coeffs(f, 7), polar_coeffs(bump_field(n), 12)):
+        want = coefficient_entries(c)
+        assert list(c.entries.items()) == list(want.items())
+        assert all(type(v) is float for v in c.entries.values())
+        with pytest.raises(TypeError):
+            c.entries[next(iter(want))] = 0.0
+
+
+def test_coefficient_tables_hold_arrays_only(monkeypatch):
+    import oscspectra.projections as projections_module
+
+    made = []
+    extract = projections_module.polar_coeffs
+
+    def record(field, m_max):
+        made.append(extract(field, m_max))
+        return made[-1]
+
+    monkeypatch.setattr(projections_module, "polar_coeffs", record)
+    f, _ = random_band_limited(2, 5, np.random.default_rng(3))
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(10, 2))
+    tables = [polar_coeffs(f, 5), hermite_coeffs(f, 5)]
+    for c in tables:
+        project(f, 4, c.basis, c)(pts)
+    project(f, 3, "polar")(pts)
+    coefficient_decay_probe(bump_field(2), 6)
+    assert len(made) == 2
+    for c in tables + made:
+        assert "entries" not in vars(c)
+    assert tables[1].tensor.shape == (6, 6) and tables[1].tensor[5, 1] == 0.0
+
+
+def test_polar_eigenfield_equals_laguerre_times_solid_harmonic():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        pts = np.vstack([rng.uniform(-3.0, 3.0, size=(400, n)), np.zeros(n)])
+        for s in range(7 if n > 1 else 2):
+            for k in range(3):
+                for j in range(1, sph_basis(n, s).dim + 1):
+                    got = polar_eigenfield(n, k, s, j)(pts)
+                    assert np.array_equal(got, polar_eigenfield_closure(n, k, s, j)(pts))
+
+
+def test_hecke_closed_form_equals_laguerre_times_solid_harmonic():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        pts = np.vstack([rng.uniform(-2.5, 2.5, size=(200, n)), np.zeros(n)])
+        for big_m in range(2 if n == 1 else 5):
+            solid = random_solid_harmonic(n, big_m, rng)
+            for big_k in range(4):
+                c, closed = hecke_bochner(f0_gauss_poly, solid, big_k)
+                want = hecke_closed_form_closure(c, solid, big_k)(pts)
+                assert np.abs(closed(pts) - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_polar_coeffs_sweeps_harmonics_on_the_meridian_only(monkeypatch):
     # the harmonic rows are needed on the nz meridian points, not on all
     # nz * nphi sphere nodes
@@ -166,7 +230,7 @@ def test_fields_declare_their_band(monkeypatch):
         return polar_coeffs(field, m_max)
 
     monkeypatch.setattr(projections_module, "polar_coeffs", record)
-    rotation_commutes(f, g, 3, extraction_level=5)
+    rotation_commutes(f, g, 3)
     assert seen == [5, 5]  # the rotated field keeps the band of f
 
 
@@ -331,7 +395,7 @@ def test_hecke_bochner_integrability_guard():
 
 def test_rotation_commutes_identity_map():
     f, _ = random_band_limited(2, 4, np.random.default_rng(3))
-    assert rotation_commutes(f, np.eye(2), 3, extraction_level=4) < 1e-12
+    assert rotation_commutes(f, np.eye(2), 3) < 1e-12
 
 
 def test_rotation_commutes_quarter_turn_hermite():
@@ -354,7 +418,7 @@ def test_rotation_commutes_random_orthogonal_including_reflection():
         if i % 2:
             q[0] = -q[0]
         for m in (0, 3, 6):
-            assert rotation_commutes(f, q, m, extraction_level=6) < 1e-8
+            assert rotation_commutes(f, q, m) < 1e-8
 
 
 def test_rotation_commutes_rejects_nonorthogonal():
@@ -446,20 +510,13 @@ def test_field_norm_sq_gaussian_closed_form():
         assert got == pytest.approx(math.pi ** (n / 2), rel=1e-12)
 
 
-def test_polar_index_eigenvalue():
-    from oscspectra.projections import PolarIndex
-
-    assert PolarIndex(1, 2, 3).eigenvalue(3) == 3 + 2 * (2 + 2 * 1)
-    assert PolarIndex(0, 0, 1).eigenvalue(1) == 1
-
-
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_band_limited_field_matches_sum_of_eigenfields(n):
     # the per-degree evaluation equals the sum of its parts, origin included
     rng = np.random.default_rng(70 + n)
     f, coeffs = random_band_limited(n, 8, rng)
     pts = np.vstack([rng.uniform(-2.5, 2.5, size=(60, n)), np.zeros(n)])
-    want = sum(c * polar_eigenfield(n, k, s, j)(pts) for (k, s, j), c in coeffs.items())
+    want = sum(c * polar_eigenfield_closure(n, k, s, j)(pts) for (k, s, j), c in coeffs.items())
     assert np.abs(f(pts) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
