@@ -197,12 +197,19 @@ def _load_grid_field(path, n, parser):
     else:
         try:
             from scipy.interpolate import LinearNDInterpolator
+            from scipy.spatial import QhullError
         except ImportError:
             parser.error("--grid-file at n >= 2 needs scipy: pip install 'oscspectra[grid]'")
-        interp = LinearNDInterpolator(pts, vals, fill_value=0.0)
+        try:
+            interp = LinearNDInterpolator(pts, vals, fill_value=0.0)
+        except QhullError:
+            parser.error(f"grid file {path}: samples too few or flat to triangulate")
         fn = lambda p: np.asarray(interp(p), dtype=float)
     radius = float(np.linalg.norm(pts, axis=1).max())
-    field = ScalarField(n, fn, support_radius=radius, label=f"grid({path})")
+    try:
+        field = ScalarField(n, fn, support_radius=radius, label=f"grid({path})")
+    except ValueError as exc:
+        parser.error(f"grid file {path}: {exc}")
     return field, pts
 
 
@@ -266,11 +273,10 @@ def cmd_dims(args, parser):
         span.to_csv(args.output or sys.stdout)
         return EXIT_OK
     rows = []
-    span_cap = 8 if args.spans else -1
     for m in range(args.m_max + 1):
         lhs, rhs = dimension_identity(args.n, m)
         row = {"m": m, "dim_laguerre_harmonic": lhs, "dim_poly": rhs, "equal": int(lhs == rhs)}
-        if args.spans and m <= span_cap and args.n <= 3:
+        if args.spans and m <= 8:
             cmpres = spans_equal(
                 hermite_span(args.n, m), laguerre_harmonic_span(args.n, m)
             )

@@ -1,7 +1,8 @@
 """Exact verification that the degree-m Hermite-product span and the
 Laguerre-times-solid-harmonic span coincide as polynomial spaces, via
-monomial-coefficient matrices and rank comparison, together with the
-dimension bookkeeping d_m + d_{m-2} + ... = dim P_m.
+integer monomial-coefficient matrices (on a closed-form rational harmonic
+basis) and ranks over Q, with no threshold; plus the dimension bookkeeping
+d_m + d_{m-2} + ... = dim P_m.
 
 Monomial ordering is graded lexicographic (total degree ascending, then
 exponent tuples descending), recorded in the CSV header so dumped matrices
@@ -14,12 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import product
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .harmonics import dim_harmonic, solid_harmonic
+from .harmonics import dim_harmonic
 
 __all__ = [
     "PolySpan",
@@ -35,19 +36,15 @@ __all__ = [
 _MAX_DEGREE = 12
 
 
+def _level(n: int, deg: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the monomials of total degree deg, descending."""
+    return sorted((e for e in product(range(deg + 1), repeat=n) if sum(e) == deg), reverse=True)
+
+
 def monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of all monomials of total degree <= max_degree,
     graded lexicographic."""
-    out = []
-    for deg in range(max_degree + 1):
-        level = set()
-        for combo in combinations_with_replacement(range(n), deg):
-            e = [0] * n
-            for axis in combo:
-                e[axis] += 1
-            level.add(tuple(e))
-        out.extend(sorted(level, reverse=True))
-    return out
+    return [e for deg in range(max_degree + 1) for e in _level(n, deg)]
 
 
 @dataclass(frozen=True)
@@ -96,126 +93,117 @@ def _hermite_coeffs_1d(k: int) -> tuple[int, ...]:
     return cur
 
 
-def _poly_product(dicts):
-    """Product of sparse exponent->coefficient polynomials."""
-    out = {(): 1}
-    for d in dicts:
-        nxt = {}
-        for e1, c1 in out.items():
-            for e2, c2 in d.items():
-                key = tuple(a + b for a, b in zip(e1, e2)) if e1 else e2
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        out = nxt
-    return out
-
-
+@lru_cache(maxsize=None)
 def hermite_span(n: int, m: int) -> PolySpan:
-    """Span of the products of Hermite polynomials over |alpha| = m."""
+    """Span of the products of Hermite polynomials over |alpha| = m; the
+    matrix is read-only."""
     _check_caps(n, m)
-    from .kernels import multi_indices
-
     monos = monomials(n, m)
     col = {e: i for i, e in enumerate(monos)}
-    alphas = multi_indices(n, m)
+    alphas = _level(n, m)
     matrix = np.zeros((len(alphas), len(monos)))
     for row, alpha in enumerate(alphas):
-        factors = []
-        for axis, k in enumerate(alpha):
-            d = {}
-            for p, c in enumerate(_hermite_coeffs_1d(k)):
-                if c:
-                    e = [0] * n
-                    e[axis] = p
-                    d[tuple(e)] = c
-            factors.append(d)
-        for e, c in _poly_product(factors).items():
-            matrix[row, col[e]] = float(c)
+        for terms in product(*(enumerate(_hermite_coeffs_1d(k)) for k in alpha)):
+            matrix[row, col[tuple(p for p, _ in terms)]] = math.prod(c for _, c in terms)
+    matrix.flags.writeable = False
     labels = tuple("H" + "_".join(map(str, a)) for a in alphas)
     return PolySpan(n, m, tuple(monos), matrix, labels)
 
 
 def _laguerre_coeffs_frac(k: int, beta: Fraction) -> list[Fraction]:
-    """Coefficients of L_k^beta(t) in ascending powers of t, exact."""
-    coeffs = []
-    for i in range(k + 1):
-        binom = Fraction(1)
-        for j in range(1, k - i + 1):
-            binom *= (beta + i + j) / j
-        coeffs.append((-1) ** i * binom / math.factorial(i))
-    return coeffs
+    """Coefficients (-1)^i binom(k + beta, k - i) / i! of L_k^beta(t) in
+    ascending powers of t, exact."""
+    return [
+        Fraction((-1) ** i, math.factorial(i)) * math.prod((beta + i + j) / j for j in range(1, k - i + 1))
+        for i in range(k + 1)
+    ]
 
 
-def _rational_snap(vec: np.ndarray, max_den: int = 48, tol: float = 1e-9) -> np.ndarray:
-    """Snap coefficient ratios to small-denominator rationals when the whole
-    vector fits one denominator; otherwise return the input unchanged."""
-    scale = np.abs(vec).max()
-    if scale == 0:
-        return vec
-    ratios = vec / scale
-    for den in range(1, max_den + 1):
-        nums = np.round(ratios * den)
-        if np.abs(ratios * den - nums).max() < tol * den:
-            return scale * nums / den
-    return vec
+def _laplacian(poly: dict) -> dict:
+    """Laplacian of an exponent -> coefficient polynomial, exact."""
+    out = {}
+    for e, c in poly.items():
+        for axis, p in enumerate(e):
+            if p > 1:
+                key = e[:axis] + (p - 2,) + e[axis + 1 :]
+                out[key] = out.get(key, 0) + p * (p - 1) * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _times_r2(poly: dict) -> dict:
+    """The polynomial multiplied by |x|^2."""
+    out = {}
+    for e, c in poly.items():
+        for axis, p in enumerate(e):
+            key = e[:axis] + (p + 2,) + e[axis + 1 :]
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 @lru_cache(maxsize=None)
+def _harmonic_basis(n: int, s: int) -> tuple:
+    """The d_s harmonics h_{eps,q} = sum_i (-1)^i eps!/(2i+eps)! x_1^{2i+eps}
+    (Delta')^i q of degree s, for eps in (0, 1) and q over the degree-(s-eps)
+    monomials in x_2..x_n (Axler, Bourdon & Ramey, Harmonic Function Theory,
+    ch. 5).  Delta h = 0 since the x_1 derivatives of term i cancel the
+    Delta' of term i-1.  Each is a tuple of (exponent, Fraction) pairs,
+    exponents descending."""
+    basis = []
+    for eps in (0, 1):
+        for q in _level(n - 1, s - eps):
+            h, term, i = {}, {q: Fraction(1)}, 0
+            while term:
+                a = Fraction((-1) ** i, math.factorial(2 * i + eps))
+                h.update(((2 * i + eps,) + e, a * c) for e, c in term.items())
+                term, i = _laplacian(term), i + 1
+            basis.append(tuple(sorted(h.items(), reverse=True)))
+    return tuple(basis)
+
+
 def solid_harmonic_poly(n: int, s: int, j: int) -> tuple:
-    """Monomial coefficients (over ``monomials`` of exact degree s) of the
-    j-th degree-s solid harmonic, by exact interpolation of the evaluator on
-    a unisolvent random node set, with a rational-reconstruction pass."""
-    monos = [e for e in monomials(n, s) if sum(e) == s]
-    rng = np.random.default_rng(8000 + 101 * n + 13 * s + j)
-    pts = rng.uniform(-1.0, 1.0, size=(3 * len(monos) + 8, n))
-    pts += np.sign(pts) * 0.35  # keep points away from coordinate planes
-    vander = np.ones((len(pts), len(monos)))
-    for cidx, e in enumerate(monos):
-        for axis, p in enumerate(e):
-            if p:
-                vander[:, cidx] *= pts[:, axis] ** p
-    vals = solid_harmonic(n, s, j, pts)
-    coef, res, *_ = np.linalg.lstsq(vander, vals, rcond=None)
-    fit_err = np.abs(vander @ coef - vals).max()
-    if fit_err > 1e-8:
-        raise RuntimeError(f"solid harmonic interpolation failed (n={n}, s={s}, j={j})")
-    return tuple(monos), tuple(float(c) for c in _rational_snap(coef))
+    """The j-th (1-based) exact degree-s solid harmonic of the closed-form
+    basis, as (exponent, Fraction) pairs over monomials of degree s."""
+    return _harmonic_basis(n, s)[j - 1]
 
 
+def _primitive_row(poly: dict, col: dict) -> np.ndarray:
+    """The primitive integer multiple of a rational polynomial as a float
+    row over the columns ``col``, exact while every entry is below 2^53."""
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    ints = {e: int(c * den) for e, c in poly.items()}
+    g = math.gcd(*ints.values())
+    if max(map(abs, ints.values())) >= g * 2**53:
+        raise ResourceLimitError("a span generator has an integer coefficient beyond 2^53")
+    row = np.zeros(len(col))
+    row[[col[e] for e in ints]] = [v // g for v in ints.values()]
+    return row
+
+
+@lru_cache(maxsize=None)
 def laguerre_harmonic_span(n: int, m: int) -> PolySpan:
-    """Span of L_k^{n/2-1+(m-2k)}(|x|^2) Y_{m-2k,j}(x) over k <= m/2 and j."""
+    """Span of L_k^{n/2-1+(m-2k)}(|x|^2) h_{m-2k,j}(x) over k <= m/2 and j,
+    with h the exact harmonic basis; each generator is its primitive
+    integer row, and the matrix is read-only."""
     _check_caps(n, m)
     monos = monomials(n, m)
     col = {e: i for i, e in enumerate(monos)}
-    rows = []
-    labels = []
+    rows, labels = [], []
     for k in range(m // 2 + 1):
         s = m - 2 * k
-        if not dim_harmonic(n, s):
-            continue
         beta = Fraction(n, 2) - 1 + s
         lag = _laguerre_coeffs_frac(k, beta)
-        # expand L_k(|x|^2) = sum_i c_i (x_1^2 + ... + x_n^2)^i
-        radial = {}
-        for i, c in enumerate(lag):
-            for combo in combinations_with_replacement(range(n), i):
-                e = [0] * n
-                for axis in combo:
-                    e[axis] += 2
-                weight = math.factorial(i)
-                for axis in range(n):
-                    weight //= math.factorial(combo.count(axis))
-                key = tuple(e)
-                radial[key] = radial.get(key, Fraction(0)) + c * weight
-        for j in range(1, dim_harmonic(n, s) + 1):
-            ymonos, ycoef = solid_harmonic_poly(n, s, j)
-            row = np.zeros(len(monos))
-            for (er, cr) in radial.items():
-                for e2, c2 in zip(ymonos, ycoef):
-                    key = tuple(a + b for a, b in zip(er, e2))
-                    row[col[key]] += float(cr) * c2
-            rows.append(row)
-            labels.append(f"L{k}^[{beta}]*Y_{s}_{j}")
-    return PolySpan(n, m, tuple(monos), np.array(rows), tuple(labels))
+        for j, h in enumerate(_harmonic_basis(n, s), 1):
+            poly, term = {}, dict(h)
+            for i, c in enumerate(lag):
+                if i:
+                    term = _times_r2(term)
+                for e, v in term.items():
+                    poly[e] = poly.get(e, 0) + c * v
+            rows.append(_primitive_row(poly, col))
+            labels.append(f"L{k}^[{beta}]*h_{s}_{j}")
+    matrix = np.array(rows)
+    matrix.flags.writeable = False
+    return PolySpan(n, m, tuple(monos), matrix, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -226,29 +214,40 @@ class SpanComparison:
     rank_stacked: int
 
 
-def _rank(matrix: np.ndarray, tol: float) -> int:
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals > tol * svals[0]))
+def _exact_rank(rows: list) -> int:
+    """Rank over Q of integer rows, by fraction-free elimination on the
+    top-degree columns first; each reduced row is divided by its content."""
+    rank = 0
+    for c in reversed(range(len(rows[0]) if rows else 0)):
+        pivot = next((r for r in rows if r[c]), None)
+        if pivot is None:
+            continue
+        rank += 1
+        hit = [r for r in rows if r[c] and r is not pivot]
+        reduced = [[pivot[c] * x - r[c] * y for x, y in zip(r, pivot)] for r in hit]
+        rows = [r for r in rows if not r[c]] + [[x // g for x in r] for r in reduced if (g := math.gcd(*r))]
+    return rank
+
+
+def _integer_rows(matrix: np.ndarray) -> list:
+    """Each float row scaled exactly to integers: every float is dyadic."""
+    out = []
+    for row in matrix.tolist():
+        ratios = [v.as_integer_ratio() for v in row]
+        den = max(d for _, d in ratios)
+        out.append([p * (den // d) for p, d in ratios])
+    return out
 
 
 def spans_equal(a: PolySpan, b: PolySpan, tol: float = 1e-10) -> SpanComparison:
     """True iff the two generator spans coincide: equal ranks that survive
-    stacking, measured by singular values thresholded at tol * sigma_max.
-    Rows are max-normalized first so generator scaling cannot skew ranks."""
+    stacking, computed exactly over Q from the float rows taken as the
+    dyadic rationals they are.  ``tol`` is no longer read; it stays for
+    callers that pass it."""
     if (a.n, a.m, a.monomials) != (b.n, b.m, b.monomials):
         raise ValueError("spans must share dimension, degree, and monomial order")
-
-    def normalized(mat):
-        scale = np.abs(mat).max(axis=1, keepdims=True)
-        scale[scale == 0] = 1.0
-        return mat / scale
-
-    am, bm = normalized(a.matrix), normalized(b.matrix)
-    ra = _rank(am, tol)
-    rb = _rank(bm, tol)
-    rs = _rank(np.vstack([am, bm]), tol)
+    ia, ib = _integer_rows(a.matrix), _integer_rows(b.matrix)
+    ra, rb, rs = _exact_rank(ia), _exact_rank(ib), _exact_rank(ia + ib)
     return SpanComparison(ra == rb == rs, ra, rb, rs)
 
 

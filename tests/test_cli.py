@@ -312,6 +312,25 @@ def test_project_bad_grid_file_is_usage_error_naming_the_file(content, tmp_path,
     assert str(path) in capsys.readouterr().err
 
 
+def test_project_grid_file_flat_samples_is_usage_error(tmp_path, capsys):
+    pytest.importorskip("scipy")
+    path = tmp_path / "flat.csv"
+    path.write_text("x1,x2,value\n0,0,1\n1,0,2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--n", "2", "--grid-file", str(path), "--m", "0"])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_project_grid_file_samples_at_origin_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "origin.csv"
+    path.write_text("x1,value\n0,1\n0,2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--n", "1", "--grid-file", str(path), "--m", "0"])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -347,6 +366,13 @@ def test_dims_rows_and_span_columns(capsys):
     assert all(r["equal"] == "1" for r in rows)
     assert all(r["spans_equal"] == "1" for r in rows)
     assert int(rows[4]["dim_poly"]) == 15
+
+
+def test_dims_spans_beyond_cap_exits_3(capsys):
+    code, out, err = run_cli(["dims", "--n", "4", "--m-max", "2", "--spans"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "resource cap" in err
 
 
 def test_dims_dump_span(tmp_path, capsys):

@@ -1,16 +1,21 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oscspectra.errors import ResourceLimitError
+from oscspectra.harmonics import dim_harmonic, sph_table
 from oscspectra.polyspaces import (
     PolySpan,
+    _harmonic_basis,
+    _primitive_row,
     dimension_identity,
     hermite_span,
     laguerre_harmonic_span,
     monomials,
+    solid_harmonic_poly,
     spans_equal,
 )
 
@@ -47,14 +52,15 @@ def test_hermite_span_rank_is_dim_pm(n, m):
 
 
 def test_laguerre_harmonic_generator_n1_m2():
-    # k=1, s=0 generator is 2^{-1/2} L_1^{-1/2}(x^2) with
-    # L_1^{-1/2}(t) = 1/2 - t, per the series oracle
+    # k=1, s=0 generator is L_1^{-1/2}(x^2) with L_1^{-1/2}(t) = 1/2 - t,
+    # per the series oracle, stored as its primitive integer row
     span = laguerre_harmonic_span(1, 2)
     assert len(span.labels) == 1
-    const = laguerre_series(1, -0.5, 0.0) / math.sqrt(2)
-    quad = (laguerre_series(1, -0.5, 1.0) - laguerre_series(1, -0.5, 0.0)) / math.sqrt(2)
-    assert span.matrix[0] @ [1, 0, 0] == pytest.approx(const, rel=1e-12)
-    assert span.matrix[0] @ [0, 0, 1] == pytest.approx(quad, rel=1e-12)
+    const = laguerre_series(1, -0.5, 0.0)
+    quad = laguerre_series(1, -0.5, 1.0) - const
+    row = span.matrix[0].tolist()
+    assert row in ([1.0, 0.0, -2.0], [-1.0, 0.0, 2.0])
+    assert row[0] * quad == row[2] * const
 
 
 def test_laguerre_harmonic_generators_have_degree_m():
@@ -105,6 +111,60 @@ def test_spans_detect_planted_discrepancy():
     target = planted[0]
     sol, *_ = np.linalg.lstsq(a.matrix.T, target, rcond=None)
     assert np.abs(a.matrix.T @ sol - target).max() > 1e-2
+
+
+@pytest.mark.parametrize("rel", (1e-6, 1e-9, 1e-12))
+def test_spans_detect_planted_perturbation(rel):
+    # move the x1^6 coefficient of one Laguerre generator by a relative
+    # amount far below any float threshold; the exact rank still sees it
+    n, m = 3, 6
+    a = hermite_span(n, m)
+    b = laguerre_harmonic_span(n, m)
+    planted = b.matrix.copy()
+    planted[0, b.monomials.index((m, 0, 0))] += rel * np.abs(planted[0]).max()
+    result = spans_equal(a, PolySpan(n, m, b.monomials, planted, b.labels), 1e-10)
+    assert not result.equal
+    assert (result.rank_a, result.rank_b, result.rank_stacked) == (28, 28, 29)
+
+
+def _laplacian_oracle(poly):
+    out = {}
+    for e, c in poly:
+        for axis, p in enumerate(e):
+            if p >= 2:
+                key = e[:axis] + (p - 2,) + e[axis + 1 :]
+                out[key] = out.get(key, 0) + p * (p - 1) * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def test_exact_harmonic_basis_counts_and_is_harmonic():
+    for n in range(1, 7):
+        for s in range(9):
+            basis = [solid_harmonic_poly(n, s, j) for j in range(1, dim_harmonic(n, s) + 1)]
+            assert len(basis) == len(_harmonic_basis(n, s)) == dim_harmonic(n, s)
+            # distinct lowest monomials x1^eps q make the basis independent
+            assert len({h[-1][0] for h in basis}) == len(basis)
+            for h in basis:
+                assert h and all(isinstance(c, Fraction) and sum(e) == s for e, c in h)
+                assert _laplacian_oracle(h) == {}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_exact_harmonics_lie_in_sph_table_span(n):
+    # ties the exact basis to the float evaluator the projections use
+    pts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(50, n))
+    for s, rows in sph_table(n, 8, pts):
+        for j in range(1, dim_harmonic(n, s) + 1):
+            vals = sum(float(c) * np.prod(pts**e, axis=1) for e, c in solid_harmonic_poly(n, s, j))
+            sol, *_ = np.linalg.lstsq(rows.T, vals, rcond=None)
+            assert np.linalg.norm(rows.T @ sol - vals) <= 1e-12 * np.linalg.norm(vals), (n, s, j)
+
+
+def test_primitive_row_refuses_inexact_float():
+    col = {(0,): 0, (1,): 1}
+    assert _primitive_row({(0,): Fraction(6, 5), (1,): Fraction(-4, 5)}, col).tolist() == [3.0, -2.0]
+    with pytest.raises(ResourceLimitError):
+        _primitive_row({(0,): Fraction(2**53), (1,): Fraction(1)}, col)
 
 
 def test_each_generator_lies_in_hermite_span():
