@@ -4,7 +4,8 @@ catalog of test fields used by the CLI and the verification suites.
 Fields are pure evaluators: they take an (npts, n) array of points and
 return an (npts,) array of values.  A declared support radius marks
 compactly supported fields so coefficient extraction can pick a radial
-rule that actually covers the support.
+rule that actually covers the support; a declared band and degree let it
+size every rule to integrate the field exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ class ScalarField:
     """A real-valued point-evaluator on R^n with declared dimension.
 
     ``band``, when declared, is the largest harmonic degree of f on spheres
-    about 0; polar extraction sizes its sphere rule from it.
+    about 0; polar extraction sizes its sphere rule from it.  ``degree``,
+    when declared, is deg p for f = p(x) e^{-|x|^2/2} with p a polynomial;
+    extraction sizes its line and radial rules from it.  Both are
+    nonnegative integers or None (undeclared).
     """
 
     n: int
@@ -51,10 +55,17 @@ class ScalarField:
     support_radius: Optional[float] = None
     label: str = ""
     band: Optional[int] = None
+    degree: Optional[int] = None
 
     def __post_init__(self):
         if self.support_radius is not None and not 0.0 < self.support_radius < np.inf:
             raise ValueError(f"support radius must be positive and finite, got {self.support_radius:g}")
+        for name in ("band", "degree"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0
+            ):
+                raise ValueError(f"{name} must be a nonnegative integer or None, got {value!r}")
 
     def __call__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -75,7 +86,7 @@ def polar_eigenvalue(n: int, k: int, s: int) -> int:
 
 def gaussian_field(n: int) -> ScalarField:
     fn = lambda p: np.exp(-0.5 * np.einsum("pi,pi->p", p, p))
-    return ScalarField(n, fn, label="gauss", band=0)
+    return ScalarField(n, fn, label="gauss", band=0, degree=0)
 
 
 def bump_field(n: int, radius: float = 1.0) -> ScalarField:
@@ -104,9 +115,8 @@ def truncated_gaussian_field(n: int, radius: float = 1.0) -> ScalarField:
 def hermite_eigenfield(alpha) -> ScalarField:
     """The tensor Hermite eigenfunction h_alpha as a field."""
     alpha = tuple(int(a) for a in alpha)
-    return ScalarField(
-        len(alpha), lambda p: hermite_fn_multi(alpha, p), label=f"hermite{alpha}", band=sum(alpha)
-    )
+    fn = lambda p: hermite_fn_multi(alpha, p)
+    return ScalarField(len(alpha), fn, label=f"hermite{alpha}", band=sum(alpha), degree=sum(alpha))
 
 
 def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
@@ -119,7 +129,7 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     unit = np.zeros((k + 1, dim))
     unit[k, j - 1] = 1.0
     fn = partial(polar_series, n, {s: unit})
-    return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})", band=s)
+    return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})", band=s, degree=s + 2 * k)
 
 
 def polar_series(n: int, matrices: dict, points) -> np.ndarray:
@@ -140,15 +150,16 @@ def polar_series(n: int, matrices: dict, points) -> np.ndarray:
 
 
 def radial_harmonic_field(f0: Callable, solid: SolidHarmonic, label: str = "") -> ScalarField:
-    """f(x) = f0(|x|) * Y(x) for a radial profile and a solid harmonic."""
+    """f(x) = f0(|x|) * Y(x) for a radial profile and a solid harmonic; the
+    degree is declared when f0 is a catalog profile."""
 
     def fn(p):
         r = np.sqrt(np.einsum("pi,pi->p", p, p))
         return np.asarray(f0(r), dtype=float) * solid(p)
 
-    return ScalarField(
-        solid.n, fn, label=label or f"radial*Y(deg={solid.degree})", band=solid.degree
-    )
+    label = label or f"radial*Y(deg={solid.degree})"
+    degree = solid.degree + _F0_DEGREE[f0] if f0 in _F0_DEGREE else None
+    return ScalarField(solid.n, fn, label=label, band=solid.degree, degree=degree)
 
 
 def random_solid_harmonic(n: int, s: int, rng: np.random.Generator) -> SolidHarmonic:
@@ -180,7 +191,8 @@ def random_band_limited(
     for (k, s, j), c in coeffs.items():
         matrices.setdefault(s, np.zeros(((m_max - s) // 2 + 1, dim_harmonic(n, s))))[k, j - 1] = c
     label = f"bandlimited(m<={m_max})"
-    field = ScalarField(n, partial(polar_series, n, matrices), label=label, band=m_max)
+    fn = partial(polar_series, n, matrices)
+    field = ScalarField(n, fn, label=label, band=m_max, degree=m_max)
     return field, coeffs
 
 
@@ -195,6 +207,8 @@ def f0_gauss_poly(r):
 
 
 _F0 = {"gauss": f0_gauss, "gausspoly": f0_gauss_poly}
+# deg q for each catalog profile f0(r) = q(r) e^{-r^2/2}
+_F0_DEGREE = {f0_gauss: 0, f0_gauss_poly: 6}
 
 
 def parse_field_id(spec: str, n: int, rng: Optional[np.random.Generator] = None):

@@ -6,8 +6,10 @@ Functions enter as pure point-evaluators (ScalarField); nothing is gridded.
 Coefficients of a field against the polar basis are computed exactly as the
 polar factorization dictates: sphere-integrate f at each radial node to get
 F_{s,j}(r), then take the radial inner product against ell_k with the r^s
-factor folded into the radial weight (never dividing F by r^s).  One radial
-rule against r^{n-1} dr serves every harmonic degree.
+factor folded into the radial weight (never dividing F by r^s).  Radial
+rules against r^{n-1} dr of one order serve every harmonic degree.  Every
+rule is sized from the field's declared band and degree, so it integrates
+a declared field exactly with the fewest nodes.
 """
 
 from __future__ import annotations
@@ -57,12 +59,13 @@ __all__ = [
 _COMPACT_N = 48
 _COMPACT_PANELS = 6
 
-# Sphere-rule degree of field_norm_sq.
+# Sphere-rule degree of field_norm_sq for a field without a declared band.
 _NORM_SPHERE_DEGREE = 40
 
-# Extra sphere-rule degree beyond the 2*m_max+2 Gram minimum, so fields with
-# harmonic content moderately above the truncation still integrate exactly
-# (projection below a field's band must see zeros, not aliases).
+# Extra sphere-rule degree beyond the 2*m_max+2 Gram minimum for a field
+# without a declared band, so harmonic content moderately above the
+# truncation still integrates exactly (projection below a field's band must
+# see zeros, not aliases).
 _SPHERE_BAND_MARGIN = 12
 
 
@@ -133,13 +136,16 @@ class SpectralCoefficients:
 def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     """All <f, h_alpha> with |alpha| <= m_max via a tensor Gauss rule.
 
-    The separable structure of the rule collapses the n-dimensional sums to
-    one axis contraction per dimension.
+    For f of declared degree D, f h_alpha is a polynomial of degree at most
+    D + m_max in each coordinate times e^{-|x|^2}, so floor((D + m_max)/2) + 1
+    line nodes integrate it exactly; an undeclared f gets LINE_N.  The
+    separable structure of the rule collapses the n-dimensional sums to one
+    axis contraction per dimension.
     """
     n = f.n
     if n > 3:
         raise ValueError("hermite coefficient extraction is capped at n <= 3")
-    line = gauss_hermite(LINE_N)
+    line = gauss_hermite(LINE_N if f.degree is None else (f.degree + m_max) // 2 + 1)
     c = f(tensor_rule(line, n).nodes).reshape((len(line.nodes),) * n)
     a = hermite_table(m_max, line.nodes) * line.weights
     # each contraction eats the leading node axis and appends a degree axis,
@@ -151,18 +157,23 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
 
 
 @lru_cache(maxsize=None)
-def default_radial_rules(n: int, support_radius: Optional[float] = None) -> QuadratureRule:
+def default_radial_rules(
+    n: int, support_radius: Optional[float] = None, degree: Optional[int] = None
+) -> QuadratureRule:
     """The radial rule against r^{n-1} dr used by every polar integral.
 
     Gaussian-decay fields get the generalized Laguerre-type rule of order
-    beta = n/2 - 1, which integrates r^{2s} p(r^2) e^{-r^2} r^{n-1} exactly
-    for every harmonic degree s; compactly supported fields get a composite
-    Gauss-Legendre rule on [0, R], whose nodes actually cover the support,
-    with r^{n-1} folded into its weights.  Memoized like the rule builders,
-    so each (n, R) pays for its Legendre eigensolve once.
+    beta = n/2 - 1, one rule for every harmonic degree s.  Given the degree
+    d of an integrand p(r) e^{-r^2} r^{n-1} with p even, it has
+    floor(d/4) + 1 nodes, the fewest that integrate it exactly (p is of
+    degree d/2 in t = r^2); without one it has RADIAL_N nodes.  Compactly
+    supported fields get a composite Gauss-Legendre rule on [0, R], whose
+    nodes actually cover the support, with r^{n-1} folded into its weights.
+    Memoized like the rule builders, so each (n, R) pays for its Legendre
+    eigensolve once.
     """
     if support_radius is None:
-        return gauss_radial(RADIAL_N, n / 2.0 - 1.0)
+        return gauss_radial(RADIAL_N if degree is None else degree // 4 + 1, n / 2.0 - 1.0)
     rule = radial_rule_compact(_COMPACT_N, support_radius, panels=_COMPACT_PANELS)
     return dataclasses.replace(
         rule,
@@ -186,18 +197,19 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     ell_k^{n/2-1+s} radially; the r^{+s} factor of phi_{k,s,j} is folded
     into the radial weight, so no division by a small radius ever happens.
 
-    The sphere degree is the larger of 2 m_max + 2 + _SPHERE_BAND_MARGIN
-    and f.band + m_max, so a field that declares its band integrates
-    exactly against every Y_{s,j} with s <= m_max.
+    Rules are sized from the field's declarations.  The sphere degree is
+    f.band + m_max, so f integrates exactly against every Y_{s,j} with
+    s <= m_max; without a band it is 2 m_max + 2 + _SPHERE_BAND_MARGIN.  For
+    f of degree D, f phi_{k,s,j} is a polynomial of degree at most D + m_max
+    times e^{-|x|^2}, which the radial rule for that degree integrates
+    exactly (see default_radial_rules).
     """
     n = f.n
     if n > 3:
         raise ValueError("polar coefficient extraction needs an explicit basis (n <= 3)")
-    degree = 2 * m_max + 2 + _SPHERE_BAND_MARGIN
-    if f.band is not None:
-        degree = max(degree, f.band + m_max)
+    degree = 2 * m_max + 2 + _SPHERE_BAND_MARGIN if f.band is None else f.band + m_max
     sphere = sphere_rule(n, degree)
-    radial = default_radial_rules(n, f.support_radius)
+    radial = default_radial_rules(n, f.support_radius, None if f.degree is None else f.degree + m_max)
     r, z, wz = radial.nodes, sphere.line.nodes, sphere.line.weights
     nphi = len(sphere.nodes) // len(z)
     fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
@@ -258,7 +270,7 @@ def project(
                 out += term
             return out
 
-        return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})", band=m)
+        return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})", band=m, degree=m)
     if basis != "polar":
         raise ValueError(f"unknown basis {basis!r}")
     matrices = {}  # degree s = m - 2k -> (k, j) matrix, nonzero in row k only
@@ -268,7 +280,7 @@ def project(
             matrices[s] = np.zeros((k + 1, coeffs.matrices[s].shape[1]))
             matrices[s][k] = coeffs.matrices[s][k]
     label = f"proj[m={m},polar]({f.label})"
-    return ScalarField(n, partial(polar_series, n, matrices), label=label, band=m)
+    return ScalarField(n, partial(polar_series, n, matrices), label=label, band=m, degree=m)
 
 
 def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:
@@ -299,23 +311,22 @@ def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float
     matrix = np.zeros((big_k + 1, len(solid.coeffs)))
     matrix[big_k] = c * solid.coeffs
     fn = partial(polar_series, n, {big_m: matrix})
-    return c, ScalarField(n, fn, label=f"hecke(M={big_m},K={big_k})", band=big_m)
+    label = f"hecke(M={big_m},K={big_k})"
+    return c, ScalarField(n, fn, label=label, band=big_m, degree=big_m + 2 * big_k)
 
 
 def rotation_commutes(f: ScalarField, g, m: int, points=None, seed: int = 0) -> float:
     """Max pointwise discrepancy between projecting f(g .) and rotating the
     projection of f, at level m.  g must be orthogonal to 1e-12.
 
-    The rotated field keeps the band of f, so a field that declares its
-    band gets a sphere rule that resolves every harmonic it carries.
+    The rotated field keeps the band and degree of f, so a field that
+    declares them gets rules that resolve everything it carries.
     """
     g = np.asarray(g, dtype=float)
     n = f.n
     if g.shape != (n, n) or np.abs(g.T @ g - np.eye(n)).max() > 1e-12:
         raise ContractViolationError("g must be an orthogonal n x n matrix")
-    rotated = ScalarField(
-        n, lambda p: f(p @ g.T), support_radius=f.support_radius, band=f.band
-    )
+    rotated = dataclasses.replace(f, fn=lambda p: f(p @ g.T), label="")
     proj_rotated = project(rotated, m, "polar", polar_coeffs(rotated, m))
     proj_plain = project(f, m, "polar", polar_coeffs(f, m))
     if points is None:
@@ -369,10 +380,12 @@ def parseval_check(f: ScalarField, coeffs: SpectralCoefficients, norm_sq: float)
 
 
 def field_norm_sq(f: ScalarField) -> float:
-    """Squared L2 norm of f by polar-factorized quadrature."""
+    """Squared L2 norm of f by polar-factorized quadrature, exact for a
+    field that declares its band and degree: f^2 has band 2 band(f) on
+    spheres and degree 2 deg(f)."""
     n = f.n
-    sphere = sphere_rule(n, _NORM_SPHERE_DEGREE)
-    radial = default_radial_rules(n, f.support_radius)
+    sphere = sphere_rule(n, _NORM_SPHERE_DEGREE if f.band is None else 2 * f.band)
+    radial = default_radial_rules(n, f.support_radius, None if f.degree is None else 2 * f.degree)
     vals = f((radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
     vals = vals.reshape(len(radial.nodes), len(sphere.nodes))
     return float(radial.weights @ ((vals * vals) @ sphere.weights))

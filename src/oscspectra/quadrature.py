@@ -35,12 +35,18 @@ __all__ = [
     "RADIAL_N",
 ]
 
-# Default sizes: every identity test in the suite is band-limited enough for
-# these to integrate it exactly.
+# Sizes for fields that declare no Gaussian-polynomial degree (gridded and
+# hand-built fields); a declared degree sizes each rule exactly instead.
 LINE_N = 64
 RADIAL_N = 80
 
 _TENSOR_CAP = 10**7
+
+# Largest rules whose full Gram check (every psi_j psi_k, j, k < N) passes
+# to 1e-12; past them psi_0 underflows at the outer nodes and the Gram or
+# the weights break down (beta = n/2 - 1 for n <= 3 on the radial side).
+_LINE_CAP = 744
+_RADIAL_CAP = 382
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,8 @@ def gauss_hermite(n: int) -> QuadratureRule:
     """
     if n < 1:
         raise ValueError("gauss_hermite requires n >= 1")
+    if n > _LINE_CAP:
+        raise ResourceLimitError(f"gauss_hermite({n}) exceeds the {_LINE_CAP}-node cap")
     k = np.arange(1.0, n + 1)
     nodes, w = _golub_welsch(
         np.zeros(n), np.sqrt(k / 2.0), lambda x: math.pi**-0.25 * np.exp(-0.5 * x * x)
@@ -160,6 +168,8 @@ def gauss_radial(n: int, beta: float) -> QuadratureRule:
     """
     if n < 1:
         raise ValueError("gauss_radial requires n >= 1")
+    if n > _RADIAL_CAP:
+        raise ResourceLimitError(f"gauss_radial({n}) exceeds the {_RADIAL_CAP}-node cap")
     beta = float(beta)
     if not beta > -1.0:
         raise ValueError(f"gauss_radial requires beta > -1, got {beta}")

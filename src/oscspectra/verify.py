@@ -221,7 +221,7 @@ def check_rotation(n, m_cap, seed, tol, count=10, reflections=3) -> CheckRow:
         q = q * np.sign(np.diag(r))
         if i < reflections:
             q[0] = -q[0]
-        rotated = fl.ScalarField(n, lambda p: f(p @ q.T), band=f.band)
+        rotated = fl.ScalarField(n, lambda p: f(p @ q.T), band=f.band, degree=f.degree)
         coeffs_rot = polar_coeffs(rotated, band)
         for m in range(band + 1):
             lhs = project(rotated, m, "polar", coeffs_rot)(pts)
@@ -261,22 +261,24 @@ def check_factorization(n, seed, tol, tol_cross) -> tuple[CheckRow, CheckRow]:
     """Inner products of f0(|x|) Y(x) pairs: full tensor quadrature against
     the radial-times-sphere product (the polar-coordinates factorization).
 
-    Each of the 2 |degrees| fields is evaluated once on the tensor grid:
-    the weighted g fields are stacked, and each f field gives one row of
-    pairwise integrals, so only one f array is held next to them.  The
-    radial part uses the one radial rule with r^{2s} folded into its
-    weights."""
+    Every rule is sized from the largest summed degree of a field pair, so
+    each integral is exact.  Each of the 2 |degrees| fields is evaluated
+    once on the tensor grid: the weighted g fields are stacked, and each f
+    field gives one row of pairwise integrals, so only one f array is held
+    next to them.  The radial part uses the radial rule of order n/2 - 1
+    with r^{2s} folded into its weights."""
     rng = np.random.default_rng(seed)
-    grid = tensor_rule(gauss_hermite(48), n)
-    sphere = sphere_rule(n, 12)
-    radial = default_radial_rules(n)
-    r = radial.nodes
     degrees = [s for s in range(4) if dim_harmonic(n, s)]
     solids = [fl.random_solid_harmonic(n, s, rng) for s in degrees]
-    gw = np.empty((len(solids), len(grid.weights)))
-    for i, y in enumerate(solids):
-        gw[i] = fl.radial_harmonic_field(fl.f0_gauss, y)(grid.nodes) * grid.weights
-    full = np.array([gw @ fl.radial_harmonic_field(fl.f0_gauss_poly, y)(grid.nodes) for y in solids])
+    gs = [fl.radial_harmonic_field(fl.f0_gauss, y) for y in solids]
+    fs = [fl.radial_harmonic_field(fl.f0_gauss_poly, y) for y in solids]
+    top = max(g.degree for g in gs) + max(f.degree for f in fs)
+    grid = tensor_rule(gauss_hermite(top // 2 + 1), n)
+    sphere = sphere_rule(n, top)
+    radial = default_radial_rules(n, None, top)
+    r = radial.nodes
+    gw = np.array([g(grid.nodes) * grid.weights for g in gs])
+    full = np.array([gw @ f(grid.nodes) for f in fs])
     rad_f0 = radial.weights * fl.f0_gauss_poly(r) * fl.f0_gauss(r)
     worst_eq = 0.0
     for i, (s, y) in enumerate(zip(degrees, solids)):

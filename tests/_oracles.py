@@ -1,9 +1,10 @@
 """Independent oracles for the test suite: power-series evaluations,
 finite-difference residuals, per-degree spherical harmonics through angles,
 the O(m^2) per-term polar kernel, the full-sphere polar contraction, the
-entry dict of a coefficient table and the closures that evaluated polar
-eigenfields and Hecke-Bochner closed forms before polar_series, kept
-deliberately separate from the implementations they check.
+fixed-size coefficient extraction and field norm, the entry dict of a
+coefficient table and the closures that evaluated polar eigenfields and
+Hecke-Bochner closed forms before polar_series, kept deliberately separate
+from the implementations they check.
 
 The series run in exact rational arithmetic (the orders used in the tests
 are rational and a float argument is an exact binary rational), so the
@@ -15,9 +16,19 @@ from fractions import Fraction
 import numpy as np
 
 from oscspectra.harmonics import dim_harmonic, sph_basis, sph_table, zonal
+from oscspectra.kernels import multi_indices
 from oscspectra.projections import default_radial_rules
-from oscspectra.quadrature import sphere_rule
-from oscspectra.special_functions import laguerre_fn_table
+from oscspectra.quadrature import gauss_hermite, gauss_radial, sphere_rule, tensor_rule
+from oscspectra.special_functions import hermite_table, laguerre_fn_table
+
+# The fixed rule sizes extraction used before it read a field's declared
+# degree: 64 Hermite nodes per axis, 80 radial nodes, sphere degree
+# max(2 m + 14, band + m) and degree 40 for norms.  Every field the tests
+# declare is band-limited enough for them to be exact.
+FIXED_LINE_N = 64
+FIXED_RADIAL_N = 80
+FIXED_SPHERE_MARGIN = 14
+FIXED_NORM_SPHERE_DEGREE = 40
 
 
 def laguerre_series(k, beta, t):
@@ -178,14 +189,22 @@ def solid_harmonic_rows(n, s, points):
     return rows * r**s
 
 
+def _fixed_radial_rule(f):
+    """The fixed FIXED_RADIAL_N-node Laguerre-type rule, or the composite
+    rule of a compactly supported field."""
+    if f.support_radius is not None:
+        return default_radial_rules(f.n, f.support_radius)
+    return gauss_radial(FIXED_RADIAL_N, f.n / 2.0 - 1.0)
+
+
 def polar_coeffs_full_sphere(f, m_max, sphere_degree):
     """{(k, s, j): <f, phi_{k,s,j}>} for s + 2k <= m_max by contracting the
     field values on every node of sphere_rule(n, sphere_degree) against
     every harmonic row there, degree by degree, then pairing radially with
-    ell_k^{n/2-1+s} on the same radial rule as polar_coeffs."""
+    ell_k^{n/2-1+s} on the fixed-size radial rule."""
     n = f.n
     sphere = sphere_rule(n, sphere_degree)
-    radial = default_radial_rules(n, f.support_radius)
+    radial = _fixed_radial_rule(f)
     r = radial.nodes
     fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
     fv = fv.reshape(len(r), len(sphere.nodes))
@@ -197,6 +216,40 @@ def polar_coeffs_full_sphere(f, m_max, sphere_degree):
         for (k, j), value in np.ndenumerate(coeffs):
             entries[(k, s, j + 1)] = float(value)
     return entries
+
+
+def polar_coeffs_fixed(f, m_max):
+    """{(k, s, j): <f, phi_{k,s,j}>} on the fixed rule sizes."""
+    degree = 2 * m_max + FIXED_SPHERE_MARGIN
+    if f.band is not None:
+        degree = max(degree, f.band + m_max)
+    return polar_coeffs_full_sphere(f, m_max, degree)
+
+
+def hermite_coeffs_fixed(f, m_max):
+    """{alpha: <f, h_alpha>} for |alpha| <= m_max as one weighted sum over
+    every node of the fixed FIXED_LINE_N^n tensor rule, with h_alpha formed
+    at each node as a product of per-coordinate Hermite functions."""
+    n = f.n
+    grid = tensor_rule(gauss_hermite(FIXED_LINE_N), n)
+    weighted = f(grid.nodes) * grid.weights
+    table = hermite_table(m_max, grid.nodes.ravel()).reshape(m_max + 1, -1, n)
+    entries = {}
+    for m in range(m_max + 1):
+        for alpha in multi_indices(n, m):
+            h = np.prod([table[a, :, d] for d, a in enumerate(alpha)], axis=0)
+            entries[alpha] = float(weighted @ h)
+    return entries
+
+
+def field_norm_sq_fixed(f):
+    """||f||^2 on the fixed radial rule times the degree-40 sphere rule."""
+    n = f.n
+    sphere = sphere_rule(n, FIXED_NORM_SPHERE_DEGREE)
+    radial = _fixed_radial_rule(f)
+    vals = f((radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
+    vals = vals.reshape(len(radial.nodes), len(sphere.nodes))
+    return float(radial.weights @ ((vals * vals) @ sphere.weights))
 
 
 def coefficient_entries(coeffs):

@@ -213,6 +213,26 @@ def test_project_high_band_hermite_vanishes_at_low_level(capsys):
     assert max(abs(float(r["proj_hermite"])) for r in rows) < 1e-12
 
 
+def test_project_high_degree_hermite_does_not_alias_on_the_hermite_side(capsys):
+    # h_(200) declares degree 200, so its line rule has 101 nodes; the
+    # fixed 64-node rule aliased it to 4.2e-3 at level 0
+    code, out, _ = run_cli(
+        ["project", "--n", "1", "--field", "hermite:gamma=(200)", "--m", "0"], capsys
+    )
+    rows = parse_csv(out)
+    assert code == 0 and len(rows) == 20
+    assert max(abs(float(r["proj_hermite"])) for r in rows) <= 1e-12
+    assert max(abs(float(r["proj_polar"])) for r in rows) <= 1e-12
+
+
+def test_project_degree_past_the_rule_cap_exits_3(capsys):
+    code, out, err = run_cli(
+        ["project", "--n", "1", "--field", "hermite:gamma=(1600)", "--m", "0"], capsys
+    )
+    assert code == 3 and out == ""
+    assert "resource cap exceeded" in err and "Traceback" not in err
+
+
 def test_project_unknown_catalog_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "--n", "2", "--field", "mystery", "--m", "1"])
@@ -340,8 +360,17 @@ def test_project_grid_file_samples_at_origin_is_usage_error(tmp_path, capsys):
         ["decay", "--n", "2", "--field", "bump:R=-1"],
         ["decay", "--n", "1", "--field", "truncgauss:R=nan"],
         ["project", "--n", "2", "--field", "polar:k=-1", "--m", "1"],
+        ["project", "--n", "1", "--field", "hermite:gamma=(-2)", "--m", "0"],
     ],
-    ids=["bump-negative", "bump-zero", "truncgauss-inf", "decay-bump-negative", "decay-nan", "polar-k"],
+    ids=[
+        "bump-negative",
+        "bump-zero",
+        "truncgauss-inf",
+        "decay-bump-negative",
+        "decay-nan",
+        "polar-k",
+        "hermite-negative",
+    ],
 )
 def test_bad_catalog_parameter_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from oscspectra.errors import ContractViolationError, IntegrabilityError
 from oscspectra.fields import (
     ScalarField,
     bump_field,
+    f0_gauss,
     f0_gauss_poly,
     gaussian_field,
     hermite_eigenfield,
@@ -33,12 +34,15 @@ from oscspectra.projections import (
     project,
     rotation_commutes,
 )
-from oscspectra.quadrature import RADIAL_N, QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
+from oscspectra.quadrature import QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
 from oscspectra.verify import run_suite
 
 from _oracles import (
     coefficient_entries,
+    field_norm_sq_fixed,
     hecke_closed_form_closure,
+    hermite_coeffs_fixed,
+    polar_coeffs_fixed,
     polar_coeffs_full_sphere,
     polar_eigenfield_closure,
 )
@@ -183,9 +187,9 @@ def test_polar_coeffs_sweeps_harmonics_on_the_meridian_only(monkeypatch):
     monkeypatch.setattr(projections_module, "sph_table", counting_table)
     m_max = 10
     polar_coeffs(bump_field(3), m_max)
-    sphere = sphere_rule(3, 2 * m_max + 14)
+    sphere = sphere_rule(3, m_max)  # the radial bump declares band 0
     assert sizes == [len(sphere.line.nodes)]
-    assert len(sphere.nodes) == len(sphere.line.nodes) * (2 * m_max + 15)
+    assert len(sphere.nodes) == len(sphere.line.nodes) * (m_max + 1)
 
 
 def test_polar_coeffs_keep_per_degree_matrices():
@@ -221,17 +225,100 @@ def test_fields_declare_their_band(monkeypatch):
     assert project(f, 4, "polar").band == project(f, 4, "hermite").band == 4
     assert hecke_bochner(f0_gauss_poly, solid, 1)[1].band == 3
     assert ScalarField(3, f.fn).band is None
+    # degree: deg p for f = p e^{-|x|^2/2}; compact fields have none
+    assert gaussian_field(3).degree == 0
+    assert bump_field(3).degree is None and truncated_gaussian_field(3).degree is None
+    assert hermite_eigenfield((2, 0, 3)).degree == 5
+    assert polar_eigenfield(3, 1, 2, 1).degree == 4
+    assert radial_harmonic_field(f0_gauss, solid).degree == 3
+    assert radial_harmonic_field(f0_gauss_poly, solid).degree == 9
+    assert radial_harmonic_field(lambda r: np.exp(-r), solid).degree is None
+    assert f.degree == 5
+    assert project(f, 4, "polar").degree == project(f, 4, "hermite").degree == 4
+    assert hecke_bochner(f0_gauss_poly, solid, 1)[1].degree == 5
+    assert ScalarField(3, f.fn).degree is None
     import oscspectra.projections as projections_module
 
     seen = []
 
     def record(field, m_max):
-        seen.append(field.band)
+        seen.append((field.band, field.degree))
         return polar_coeffs(field, m_max)
 
     monkeypatch.setattr(projections_module, "polar_coeffs", record)
     rotation_commutes(f, g, 3)
-    assert seen == [5, 5]  # the rotated field keeps the band of f
+    assert seen == [(5, 5), (5, 5)]  # the rotated field keeps the declarations of f
+
+
+@pytest.mark.parametrize("name", ("band", "degree"))
+@pytest.mark.parametrize("value", (-5, 2.0, 2.5, True, "3"), ids=repr)
+def test_declarations_must_be_nonnegative_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+        ScalarField(1, f0_gauss, **{name: value})
+    assert getattr(ScalarField(1, f0_gauss, **{name: np.int64(3)}), name) == 3
+
+
+def declared_fields(n):
+    """One field of every kind that declares its degree, at dimension n."""
+    rng = np.random.default_rng(60 + n)
+    s = 1 if n == 1 else 2
+    band_limited, _ = random_band_limited(n, 6, rng)
+    solid = random_solid_harmonic(n, s, rng)
+    g = -np.eye(1) if n == 1 else np.linalg.qr(rng.standard_normal((n, n)))[0]
+    rotated = ScalarField(  # as check_rotation and rotation_commutes build it
+        n, lambda p: band_limited(p @ g.T), band=band_limited.band, degree=band_limited.degree
+    )
+    return {
+        "gauss": gaussian_field(n),
+        "hermite": hermite_eigenfield((3, 1, 2)[:n]),
+        "polar": polar_eigenfield(n, 1, s, 1),
+        "bandlimited": band_limited,
+        "radial-gauss": radial_harmonic_field(f0_gauss, solid),
+        "radial-gausspoly": radial_harmonic_field(f0_gauss_poly, solid),
+        "project-polar": project(band_limited, 4, "polar"),
+        "project-hermite": project(band_limited, 4, "hermite"),
+        "hecke": hecke_bochner(f0_gauss_poly, solid, 2)[1],
+        "rotated": rotated,
+    }
+
+
+def max_miss(got, want):
+    assert got.keys() == want.keys()
+    return max(abs(got[key] - value) for key, value in want.items())
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_degree_sized_rules_match_the_fixed_rules(n):
+    # every declared kind, at rule sizes down from 64^n line, 80 radial and
+    # sphere degree 2m + 14 nodes to the exact minimum for its degree
+    for kind, f in declared_fields(n).items():
+        assert f.degree is not None, kind
+        want = polar_coeffs_fixed(f, 6)
+        scale = max(abs(v) for v in want.values())
+        assert max_miss(polar_coeffs(f, 6).entries, want) <= 1e-13 * scale, kind
+        want = hermite_coeffs_fixed(f, 6)
+        scale = max(abs(v) for v in want.values())
+        assert max_miss(hermite_coeffs(f, 6).entries, want) <= 1e-13 * scale, kind
+        assert field_norm_sq(f) == pytest.approx(field_norm_sq_fixed(f), rel=1e-13), kind
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_under_declared_degree_misses(n):
+    # h_(24,0,..) declared with degree 18 gets rules that are too small,
+    # so the sizes are tight: each misses the exact value (the fixed-rule
+    # coefficients, and ||h||^2 = 1) by far.  Declared right, the norm is
+    # exact at n = 3 too, where f^2 has band 48 and the old fixed
+    # degree-40 sphere rule missed it by 4.5e-6
+    f = hermite_eigenfield((24,) + (0,) * (n - 1))
+    short = dataclasses.replace(f, degree=18)
+    for field, bad in ((f, False), (short, True)):
+        polar_miss = max_miss(polar_coeffs(field, 2).entries, polar_coeffs_fixed(f, 2))
+        hermite_miss = max_miss(hermite_coeffs(field, 2).entries, hermite_coeffs_fixed(f, 2))
+        norm_miss = abs(field_norm_sq(field) - 1.0)
+        if bad:
+            assert min(polar_miss, hermite_miss, norm_miss) > 1e-6
+        else:
+            assert max(polar_miss, hermite_miss, norm_miss) < 1e-13
 
 
 def test_polar_coeffs_evaluates_field_once():
@@ -271,10 +358,30 @@ def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_onc
         gauss_radial.cache_clear()
         default_radial_rules.cache_clear()
         run_suite(n, 8)
-        one_rule = (f"radial(beta={n / 2 - 1:g})", RADIAL_N)
-        assert radial and all(t == one_rule or t[0].startswith("radial_compact") for t in radial)
+        # one order beta = n/2 - 1 for every harmonic degree; the sizes
+        # follow each field's degree
+        tags = {t for t, _ in radial if not t.startswith("radial_compact")}
+        assert tags == {f"radial(beta={n / 2 - 1:g})"}
         # check_factorization: f0 * Y_s and g0 * Y_s per degree, not per pair
         assert len(grids) == 1 and len(grid_calls) == 2 * degrees
+
+
+@pytest.mark.parametrize("n, bound", ((1, 8_800), (2, 66_000), (3, 125_000)))
+def test_suite_field_evaluation_points(n, bound, monkeypatch):
+    # run_suite(n, 8) evaluates fields at 8,024 / 60,116 / 113,565 points
+    # for n = 1 / 2 / 3 on rules sized from each field's degree; the bounds
+    # allow 10% on top (the fixed 64-node line, 80-node radial and
+    # degree 2m + 14 sphere rules took 9,264 / 224,680 / 3,030,424)
+    count = [0]
+    call = ScalarField.__call__
+
+    def counted(field, points):
+        count[0] += len(np.atleast_2d(points))
+        return call(field, points)
+
+    monkeypatch.setattr(ScalarField, "__call__", counted)
+    run_suite(n, 8)
+    assert count[0] <= bound
 
 
 def test_polar_coeffs_even_field_kills_odd_channel_n1():

@@ -112,6 +112,22 @@ def test_gauss_radial_laguerre_orthonormality(size):
     assert np.abs((vals * rule.weights) @ vals.T - np.eye(size)).max() < 1e-13
 
 
+def test_rules_are_capped_where_the_gram_check_stops_passing():
+    # the largest rules still pass their full Gram check; one node more is
+    # a resource-cap error, never a ValueError or a silent fallback
+    rule = gauss_hermite(quadrature._LINE_CAP)
+    vals = hermite_table(len(rule.nodes) - 1, rule.nodes)
+    assert np.abs((vals * rule.weights) @ vals.T - np.eye(len(vals))).max() < 1e-12
+    for beta in (-0.5, 0.0, 0.5):
+        rule = gauss_radial(quadrature._RADIAL_CAP, beta)
+        vals = laguerre_fn_table(len(rule.nodes) - 1, beta, rule.nodes)
+        assert np.abs((vals * rule.weights) @ vals.T - np.eye(len(vals))).max() < 1e-12
+    with pytest.raises(ResourceLimitError):
+        gauss_hermite(quadrature._LINE_CAP + 1)
+    with pytest.raises(ResourceLimitError):
+        gauss_radial(quadrature._RADIAL_CAP + 1, 0.5)
+
+
 def test_gauss_radial_rejects_bad_order():
     with pytest.raises(ValueError):
         gauss_radial(10, -1.0)
