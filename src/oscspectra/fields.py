@@ -29,6 +29,7 @@ __all__ = [
     "hermite_eigenfield",
     "polar_eigenfield",
     "polar_eigenvalue",
+    "polar_levels",
     "polar_series",
     "radial_harmonic_field",
     "random_band_limited",
@@ -132,20 +133,31 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})", band=s, degree=s + 2 * k)
 
 
-def polar_series(n: int, matrices: dict, points) -> np.ndarray:
-    """The polar expansion sum_{s,k,j} C_s[k, j] ell_k^{n/2-1+s}(|x|) |x|^s
-    Y_{s,j}(x') at (npts, n) points, from one (k, j) coefficient matrix
-    C_s = matrices[s] per degree s.  Each block of SWEEP_BLOCK points makes
-    one sph_table sweep, with one Laguerre table and one contraction per
-    degree that carries coefficients."""
-    total = np.zeros(len(points))
+def polar_levels(n: int, matrices: dict, points) -> np.ndarray:
+    """The polar expansion level by level at (npts, n) points: row m = s + 2k
+    of the (L+1, npts) result is sum_j C_s[k, j] ell_k^{n/2-1+s}(|x|) |x|^s
+    Y_{s,j}(x') for (k, j) matrices C_s = matrices[s] up to top level L, or
+    tables stacked on leading axes of each C_s.  Each block of SWEEP_BLOCK
+    points makes one sph_table sweep, one Laguerre table per degree."""
+    top = max((s + 2 * c.shape[-2] - 2 for s, c in matrices.items()), default=0)
+    lead = np.broadcast_shapes(*(c.shape[:-2] for c in matrices.values()))
+    levels = np.zeros(lead + (top + 1, len(points)))
     for i in range(0, len(points), SWEEP_BLOCK):
         block = points[i : i + SWEEP_BLOCK]
         r = np.sqrt(np.einsum("pi,pi->p", block, block))
         for s, rows in sph_table(n, max(matrices, default=0), block):
             if s in matrices:
-                ell = laguerre_fn_table(len(matrices[s]) - 1, n / 2.0 - 1.0 + s, r)
-                total[i : i + SWEEP_BLOCK] += np.einsum("kp,kp->p", ell, matrices[s] @ rows)
+                ell = laguerre_fn_table(matrices[s].shape[-2] - 1, n / 2.0 - 1.0 + s, r)
+                levels[..., s : s + 2 * len(ell) : 2, i : i + SWEEP_BLOCK] += ell * (matrices[s] @ rows)
+    return levels
+
+
+def polar_series(n: int, matrices: dict, points) -> np.ndarray:
+    """The polar expansion at (npts, n) points: the level sum of polar_levels,
+    one SWEEP_BLOCK at a time, so no levels x points array outlives a block."""
+    total = np.empty(len(points))
+    for i in range(0, len(points), SWEEP_BLOCK):
+        total[i : i + SWEEP_BLOCK] = polar_levels(n, matrices, points[i : i + SWEEP_BLOCK]).sum(axis=0)
     return total
 
 

@@ -85,13 +85,19 @@ def zonal_table(n: int, s_max: int, t) -> np.ndarray:
         out[0] = 0.5
         out[1:2] = 0.5 * t
     elif n == 2:
-        out = degrees * np.arccos(t)
-        np.cos(out, out=out)
-        out /= math.pi
-        out[0] = 1.0 / (2.0 * math.pi)
+        out = _circle_zonal(degrees, t)
     else:
         out = gegenbauer_table(s_max, (n - 2) / 2.0, t)
         out *= (2.0 * degrees + n - 2.0) / (n - 2.0) / surface_measure(n)
+    return out
+
+
+def _circle_zonal(degrees, t) -> np.ndarray:
+    """Z_s(t) on the circle at integer degrees broadcast against t in [-1, 1]."""
+    out = degrees * np.arccos(t)
+    np.cos(out, out=out)
+    out /= math.pi
+    out[np.broadcast_to(degrees == 0, out.shape)] = 0.5 / math.pi
     return out
 
 

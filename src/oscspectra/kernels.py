@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .harmonics import zonal_table
+from .harmonics import _circle_zonal, zonal_table
 from .special_functions import hermite_table, laguerre_antidiagonal_table
 
 __all__ = [
@@ -169,7 +169,8 @@ def phi_polar_values(n: int, m: int, x, y) -> np.ndarray:
         logs = np.multiply.outer(s, np.log(ru))  # log (ru)^s
         logs[s == 0] = 0.0  # (ru)^0 = 1, also at ru = 0
         logs += _log_polar_norms(kmax, a)[:, None]
-        z = zonal_table(n, m, t)[m::-2]  # row k holds Z_{m-2k}
+        # row k holds Z_{m-2k}; n = 2 forms only these rows, n >= 3 recurs through all
+        z = _circle_zonal(s[:, None], np.clip(t, -1.0, 1.0)) if n == 2 else zonal_table(n, m, t)[m::-2]
         signs = np.sign(z)
         logs += np.log(np.abs(z))
         del z  # the full zonal table goes before the Laguerre table is built

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import ContractViolationError, IntegrabilityError
-from .fields import ScalarField, polar_eigenvalue, polar_series
+from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
 from .harmonics import SolidHarmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
@@ -273,14 +273,10 @@ def project(
         return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})", band=m, degree=m)
     if basis != "polar":
         raise ValueError(f"unknown basis {basis!r}")
-    matrices = {}  # degree s = m - 2k -> (k, j) matrix, nonzero in row k only
-    for k in range(m // 2 + 1):
-        s = m - 2 * k
-        if s in coeffs.matrices:
-            matrices[s] = np.zeros((k + 1, coeffs.matrices[s].shape[1]))
-            matrices[s][k] = coeffs.matrices[s][k]
-    label = f"proj[m={m},polar]({f.label})"
-    return ScalarField(n, partial(polar_series, n, matrices), label=label, band=m, degree=m)
+    # degrees s = m - 2k cut at row k: the top level is m, or a zero row if none
+    matrices = {s: c[: (m - s) // 2 + 1] for s, c in coeffs.matrices.items() if s <= m and (m - s) % 2 == 0}
+    fn = lambda pts: polar_levels(n, matrices, pts)[-1]
+    return ScalarField(n, fn, label=f"proj[m={m},polar]({f.label})", band=m, degree=m)
 
 
 def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:
@@ -391,24 +387,24 @@ def field_norm_sq(f: ScalarField) -> float:
     return float(radial.weights @ ((vals * vals) @ sphere.weights))
 
 
+def _fd_oscillator(f: ScalarField, pts: np.ndarray, steps) -> Tuple[np.ndarray, np.ndarray]:
+    """f at pts and (-Laplacian + |x|^2) f at pts for each step h by
+    fourth-order central differences (five-point stencil along each axis),
+    from one evaluation of f on pts and the stencils of every step."""
+    n, h = f.n, np.asarray(steps, dtype=float)
+    # shifts (step, axis d, offset h, -h, 2h, -2h along d, point, coordinate)
+    offsets = np.multiply.outer(h, [1.0, -1.0, 2.0, -2.0])[:, None, :, None, None]
+    shifts = pts + offsets * np.eye(n)[None, :, None, None, :]
+    vals = f(np.concatenate([pts, shifts.reshape(-1, n)])).reshape(1 + 4 * n * len(h), len(pts))
+    center, (fp, fmn, fp2, fm2) = vals[0], np.moveaxis(vals[1:].reshape(len(h), n, 4, len(pts)), 2, 0)
+    lap = ((-fp2 + 16 * fp - 30 * center + 16 * fmn - fm2) / (12 * h * h)[:, None, None]).sum(axis=1)
+    return center, -lap + np.sum(pts * pts, axis=1) * center
+
+
 def fd_oscillator_apply(f: ScalarField, points, h: float) -> np.ndarray:
     """(-Laplacian + |x|^2) f at the given points by fourth-order central
     differences (five-point stencil along each axis)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = f.n
-    shifts = [pts]
-    for d in range(n):
-        for step in (h, -h, 2 * h, -2 * h):
-            shifted = pts.copy()
-            shifted[:, d] += step
-            shifts.append(shifted)
-    vals = f(np.concatenate(shifts)).reshape(4 * n + 1, len(pts))
-    center = vals[0]
-    lap = np.zeros(len(pts))
-    for d in range(n):
-        fp, fmn, fp2, fm2 = vals[1 + 4 * d : 5 + 4 * d]
-        lap += (-fp2 + 16 * fp - 30 * center + 16 * fmn - fm2) / (12 * h * h)
-    return -lap + np.sum(pts * pts, axis=1) * center
+    return _fd_oscillator(f, np.atleast_2d(np.asarray(points, dtype=float)), [h])[1][0]
 
 
 def eigen_order_study(
@@ -419,13 +415,11 @@ def eigen_order_study(
     halvings: int = 2,
 ) -> Tuple[list, list]:
     """Max residual |(-Lap + |x|^2) f - lambda f| under step halving and the
-    observed convergence orders between successive steps."""
+    observed convergence orders between successive steps, from one f call."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    target = eigenvalue * f(pts)
-    residuals = []
-    for i in range(halvings + 1):
-        h = h0 / 2**i
-        residuals.append(float(np.abs(fd_oscillator_apply(f, pts, h) - target).max()))
+    center, applied = _fd_oscillator(f, pts, [h0 / 2**i for i in range(halvings + 1)])
+    target = eigenvalue * center
+    residuals = [float(np.abs(a - target).max()) for a in applied]
     orders = [
         math.log2(residuals[i] / residuals[i + 1]) if residuals[i + 1] > 0 else math.inf
         for i in range(halvings)

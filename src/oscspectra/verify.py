@@ -29,7 +29,6 @@ from .projections import (
     hecke_bochner,
     parseval_check,
     polar_coeffs,
-    project,
 )
 from .quadrature import gauss_hermite, sphere_rule, tensor_rule
 from .special_functions import laguerre_fn_table
@@ -214,19 +213,19 @@ def check_rotation(n, m_cap, seed, tol, count=10, reflections=3) -> CheckRow:
     f, _ = fl.random_band_limited(n, band, rng)
     coeffs_f = polar_coeffs(f, band)
     pts = rng.uniform(-2.5, 2.5, size=(40, n))
-    worst = 0.0
+    maps = []
     for i in range(count):
-        mat = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(mat)
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
         q = q * np.sign(np.diag(r))
         if i < reflections:
             q[0] = -q[0]
-        rotated = fl.ScalarField(n, lambda p: f(p @ q.T), band=f.band, degree=f.degree)
-        coeffs_rot = polar_coeffs(rotated, band)
-        for m in range(band + 1):
-            lhs = project(rotated, m, "polar", coeffs_rot)(pts)
-            rhs = project(f, m, "polar", coeffs_f)(pts @ q.T)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
+        maps.append(q)
+    rotated = lambda q: fl.ScalarField(n, lambda p: f(p @ q.T), band=f.band, degree=f.degree)
+    tables = [polar_coeffs(rotated(q), band).matrices for q in maps]
+    # every level of every map, one evaluation per side: P_m(f o g)(pts), (P_m f)(g pts)
+    lhs = fl.polar_levels(n, {s: np.stack([t[s] for t in tables]) for s in coeffs_f.matrices}, pts)
+    rhs = fl.polar_levels(n, coeffs_f.matrices, np.concatenate([pts @ q.T for q in maps]))
+    worst = float(np.abs(lhs - rhs.reshape(-1, count, len(pts)).swapaxes(0, 1)).max())
     return _row("com", f"rotation commutation, {count} maps incl. reflections", n, worst, tol)
 
 
@@ -240,17 +239,15 @@ def check_hecke(n, m_cap, seed, tol, tol_off) -> tuple[CheckRow, CheckRow]:
         solid = fl.random_solid_harmonic(n, big_m, rng)
         f = fl.radial_harmonic_field(fl.f0_gauss_poly, solid)
         level_top = big_m + 2 * 3
-        coeffs = polar_coeffs(f, level_top + 2)
         pts = pts_rng.uniform(-2.0, 2.0, size=(20, n))
+        # rows 0..level_top + 2: every projection of f at pts
+        levels = fl.polar_levels(n, polar_coeffs(f, level_top + 2).matrices, pts)
         for big_k in range(4):
             _, closed = hecke_bochner(fl.f0_gauss_poly, solid, big_k)
-            proj = project(f, big_m + 2 * big_k, "polar", coeffs)
-            worst = max(worst, float(np.abs(closed(pts) - proj(pts)).max()))
-        for m in range(level_top + 3):
-            if m < big_m or (m - big_m) % 2:
-                off = project(f, m, "polar", coeffs) if m <= coeffs.m_max else None
-                if off is not None:
-                    worst_off = max(worst_off, float(np.abs(off(pts)).max()))
+            worst = max(worst, float(np.abs(closed(pts) - levels[big_m + 2 * big_k]).max()))
+        m = np.arange(len(levels))
+        off = levels[(m < big_m) | ((m - big_m) % 2 == 1)]
+        worst_off = max(worst_off, float(np.abs(off).max()))
     return (
         _row("Th", f"Hecke-Bochner closed form, M<={big_m_max}, K<=3", n, worst, tol),
         _row("Th", "off-pattern projections vanish", n, worst_off, tol_off),
@@ -314,6 +311,7 @@ def check_oone(m_max, seed, tol) -> CheckRow:
     f, _ = fl.random_band_limited(1, min(m_max, 10), rng)
     coeffs = polar_coeffs(f, min(m_max, 10))
     pts = rng.uniform(-2.5, 2.5, size=(30, 1))
+    levels = fl.polar_levels(1, coeffs.matrices, pts)
     worst = 0.0
     for m in range(min(m_max, 10) + 1):
         k, s = m // 2, m % 2
@@ -324,8 +322,7 @@ def check_oone(m_max, seed, tol) -> CheckRow:
             return _row("oone", f"eigenvalue mismatch at m={m}", 1, math.inf, tol)
         phi = fl.polar_eigenfield(1, k, s, 1)
         branch = coeffs.matrices[s][k, 0] * phi(pts)
-        generic = project(f, m, "polar", coeffs)(pts)
-        worst = max(worst, float(np.abs(branch - generic).max()))
+        worst = max(worst, float(np.abs(branch - levels[m]).max()))
     return _row("oone", f"two-branch reduction, m<={min(m_max, 10)}", 1, worst, tol)
 
 

@@ -15,6 +15,7 @@ from oscspectra.fields import (
     hermite_eigenfield,
     polar_eigenfield,
     polar_eigenvalue,
+    polar_levels,
     radial_harmonic_field,
     random_band_limited,
     random_solid_harmonic,
@@ -35,7 +36,7 @@ from oscspectra.projections import (
     rotation_commutes,
 )
 from oscspectra.quadrature import QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
-from oscspectra.verify import run_suite
+from oscspectra.verify import DEFAULT_TOLERANCES, check_hecke, check_oone, run_suite
 
 from _oracles import (
     coefficient_entries,
@@ -384,6 +385,36 @@ def test_suite_field_evaluation_points(n, bound, monkeypatch):
     assert count[0] <= bound
 
 
+@pytest.mark.parametrize("n, call_bound, sweep_bound", ((1, 48, 66), (2, 101, 160), (3, 99, 157)))
+def test_suite_field_calls_and_sweeps(n, call_bound, sweep_bound, monkeypatch):
+    # run_suite(n, 8) makes 44 / 92 / 90 field calls and 60 / 145 / 143
+    # sph_table sweeps for n = 1 / 2 / 3, with each multi-level check
+    # evaluating once per point set; the bounds allow about 10% on top (one
+    # projection evaluation per level and one field evaluation per FD step
+    # took 97 / 357 / 355 calls and 110 / 403 / 401 sweeps)
+    import oscspectra.fields as fields_module
+    import oscspectra.harmonics as harmonics_module
+    import oscspectra.projections as projections_module
+    import oscspectra.verify as verify_module
+
+    calls, sweeps = [0], [0]
+    call, table = ScalarField.__call__, harmonics_module.sph_table
+
+    def counted_call(field, points):
+        calls[0] += 1
+        return call(field, points)
+
+    def counted_table(*args):
+        sweeps[0] += 1
+        return table(*args)
+
+    monkeypatch.setattr(ScalarField, "__call__", counted_call)
+    for module in (fields_module, harmonics_module, projections_module, verify_module):
+        monkeypatch.setattr(module, "sph_table", counted_table)
+    run_suite(n, 8)
+    assert calls[0] <= call_bound and sweeps[0] <= sweep_bound
+
+
 def test_polar_coeffs_even_field_kills_odd_channel_n1():
     f = gaussian_field(1)
     c = polar_coeffs(f, 7)
@@ -649,3 +680,43 @@ def test_band_limited_field_makes_one_sweep_per_call(monkeypatch):
         sweeps.clear()
         f(rng.uniform(-2.0, 2.0, size=(30, n)))
         assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_polar_levels_rows_are_the_projections(n):
+    # row m is the level-m projection, origin included; the rows sum to f
+    rng = np.random.default_rng(90 + n)
+    f, _ = random_band_limited(n, 8, rng, terms=30)
+    coeffs = polar_coeffs(f, 8)
+    pts = np.vstack([rng.uniform(-2.5, 2.5, size=(50, n)), np.zeros(n)])
+    levels = polar_levels(n, coeffs.matrices, pts)
+    want = f(pts)
+    scale = np.abs(want).max()
+    assert levels.shape == (9, len(pts))
+    for m in range(9):
+        assert np.abs(levels[m] - project(f, m, "polar", coeffs)(pts)).max() <= 1e-14 * scale
+    assert np.abs(levels.sum(axis=0) - want).max() <= 1e-14 * scale
+    # tables stacked on a leading axis give the stacked level arrays
+    g, _ = random_band_limited(n, 8, rng, terms=30)
+    other = polar_coeffs(g, 8).matrices
+    stacked = polar_levels(n, {s: np.stack([c, other[s]]) for s, c in coeffs.matrices.items()}, pts)
+    assert stacked.shape == (2,) + levels.shape
+    assert np.abs(stacked[0] - levels).max() <= 1e-14 * scale
+    assert np.abs(stacked[1] - polar_levels(n, other, pts)).max() <= 1e-14 * np.abs(g(pts)).max()
+
+
+def test_level_mixup_fails_the_batched_checks(monkeypatch):
+    # rows rolled by one level keep every field value (the level sum is
+    # unchanged), but row m then holds level m - 1
+    import oscspectra.fields as fields_module
+
+    tol = DEFAULT_TOLERANCES
+    hecke = lambda n: check_hecke(n, 8, 0, tol["th"], tol["th_offpattern"])
+    assert all(row.passed for n in (1, 2, 3) for row in hecke(n))
+    assert check_oone(8, 0, tol["oone"]).passed
+    levels = fields_module.polar_levels
+    monkeypatch.setattr(fields_module, "polar_levels", lambda *a: np.roll(levels(*a), 1, axis=0))
+    for n in (1, 2, 3):
+        closed, off = hecke(n)
+        assert not closed.passed and not off.passed
+    assert not check_oone(8, 0, tol["oone"]).passed
