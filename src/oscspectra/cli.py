@@ -91,28 +91,22 @@ def _parse_tolerances(pairs, parser):
     return overrides
 
 
-def _int_at_least(low):
-    """argparse type for an integer option bounded below; a smaller value
-    is a usage error (exit 2), never a traceback."""
+def _int_at_least(low, high=None):
+    """argparse type for an integer option in [low, high] (high optional);
+    a value outside is a usage error (exit 2), never a traceback."""
 
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high} for this command, got {value}")
         return value
 
     return parse
 
 
-def _positive_dimension(parser, n, cap=None):
-    if n < 1:
-        parser.error(f"--n must be a positive dimension, got {n}")
-    if cap is not None and n > cap:
-        parser.error(f"--n must be <= {cap} for this command, got {n}")
-
-
 def cmd_verify(args, parser):
-    _positive_dimension(parser, args.n)
     overrides = _parse_tolerances(args.tol, parser)
     rows = run_suite(args.n, args.m_max, seed=args.seed, tolerances=overrides)
     out = [
@@ -148,7 +142,6 @@ def cmd_verify(args, parser):
 
 
 def cmd_kernel(args, parser):
-    _positive_dimension(parser, args.n)
     rng = np.random.default_rng(args.seed)
     x = rng.uniform(-3.0, 3.0, size=(args.pairs, args.n))
     y = rng.uniform(-3.0, 3.0, size=(args.pairs, args.n))
@@ -214,7 +207,6 @@ def _load_grid_field(path, n, parser):
 
 
 def cmd_project(args, parser):
-    _positive_dimension(parser, args.n, cap=3)
     rng = np.random.default_rng(args.seed)
     if (args.field is None) == (args.grid_file is None):
         parser.error("exactly one of --field or --grid-file is required")
@@ -228,7 +220,7 @@ def cmd_project(args, parser):
             parser.error(str(exc))
         pts = rng.uniform(-2.0, 2.0, size=(args.points, args.n))
     m = args.m if args.m is not None else natural
-    if m is None or m < 0:
+    if m is None:
         parser.error("--m (nonnegative projection level) is required for this field")
     coeffs_h = hermite_coeffs(field, m)
     coeffs_p = polar_coeffs(field, m)
@@ -251,7 +243,6 @@ def cmd_project(args, parser):
 
 
 def cmd_bench(args, parser):
-    _positive_dimension(parser, args.n)
     rows = [
         asdict(rec) for m in args.m for rec in kernel_bench(args.n, m, args.trials, seed=args.seed)
     ]
@@ -261,7 +252,6 @@ def cmd_bench(args, parser):
 
 
 def cmd_dims(args, parser):
-    _positive_dimension(parser, args.n)
     if args.dump_span:
         if args.m is None:
             parser.error("--dump-span requires --m")
@@ -296,7 +286,6 @@ def cmd_dims(args, parser):
 
 
 def cmd_decay(args, parser):
-    _positive_dimension(parser, args.n, cap=3)
     rng = np.random.default_rng(args.seed)
     try:
         field, _ = parse_field_id(args.field, args.n, rng)
@@ -387,35 +376,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("verify", parents=[common], help="run the identity suite for one dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m-max", type=_int_at_least(0), default=8)
 
     p = sub.add_parser("kernel", parents=[common], help="evaluate the kernel both ways at seeded pairs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m", type=_int_at_least(0), required=True)
     p.add_argument("--pairs", type=_int_at_least(1), default=10)
 
     p = sub.add_parser("project", parents=[common], help="project a catalog field or gridded samples")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="projection level (default: the field's natural level)")
+    p.add_argument("--n", type=_int_at_least(1, 3), required=True)
+    p.add_argument("--m", type=_int_at_least(0), default=None, help="projection level (default: the field's natural level)")
     p.add_argument("--field", help="catalog id, e.g. gauss | bump | hermite:gamma=(1,1) | hecke:M=2,K=1,f0=gauss")
     p.add_argument("--grid-file", help="CSV with header x1,..,xn,value")
     p.add_argument("--points", type=_int_at_least(1), default=20)
 
     p = sub.add_parser("bench", parents=[common], help="term counts and timings, direct vs polar")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m", type=_int_at_least(0), nargs="+", required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=50)
 
     p = sub.add_parser("dims", parents=[common], help="dimension identity and span ranks")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m-max", type=_int_at_least(0), default=30)
     p.add_argument("--m", type=_int_at_least(0), default=None, help="degree for --dump-span")
     p.add_argument("--spans", action="store_true", help="add span-rank columns (n<=3, m<=8)")
     p.add_argument("--dump-span", choices=["hermite", "laguerre"])
 
     p = sub.add_parser("decay", parents=[common], help="coefficient-decay probe for a catalog field")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1, 3), required=True)
     p.add_argument("--levels", type=_int_at_least(0), default=None)
     p.add_argument("--field", default="bump")
     return parser

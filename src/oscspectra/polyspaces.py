@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .harmonics import dim_harmonic
+from .kernels import multi_indices
 
 __all__ = [
     "PolySpan",
@@ -36,15 +37,11 @@ __all__ = [
 _MAX_DEGREE = 12
 
 
-def _level(n: int, deg: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of the monomials of total degree deg, descending."""
-    return sorted((e for e in product(range(deg + 1), repeat=n) if sum(e) == deg), reverse=True)
-
-
 def monomials(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of all monomials of total degree <= max_degree,
-    graded lexicographic."""
-    return [e for deg in range(max_degree + 1) for e in _level(n, deg)]
+    graded lexicographic: each degree's tuples descending, the order of
+    ``multi_indices``."""
+    return [e for deg in range(max_degree + 1) for e in multi_indices(n, deg)]
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ def hermite_span(n: int, m: int) -> PolySpan:
     _check_caps(n, m)
     monos = monomials(n, m)
     col = {e: i for i, e in enumerate(monos)}
-    alphas = _level(n, m)
+    alphas = multi_indices(n, m)
     matrix = np.zeros((len(alphas), len(monos)))
     for row, alpha in enumerate(alphas):
         for terms in product(*(enumerate(_hermite_coeffs_1d(k)) for k in alpha)):
@@ -149,8 +146,10 @@ def _harmonic_basis(n: int, s: int) -> tuple:
     Delta' of term i-1.  Each is a tuple of (exponent, Fraction) pairs,
     exponents descending."""
     basis = []
-    for eps in (0, 1):
-        for q in _level(n - 1, s - eps):
+    for eps in range(min(s, 1) + 1):  # no q of degree s - eps = -1
+        # at n = 1 the one monomial in no variables is 1, of degree 0
+        qs = multi_indices(n - 1, s - eps) if n > 1 else [()] if s == eps else []
+        for q in qs:
             h, term, i = {}, {q: Fraction(1)}, 0
             while term:
                 a = Fraction((-1) ** i, math.factorial(2 * i + eps))

@@ -28,6 +28,7 @@ from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
 from .harmonics import SolidHarmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
+    _polar_grid,
     LINE_N,
     RADIAL_N,
     QuadratureRule,
@@ -212,7 +213,7 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     radial = default_radial_rules(n, f.support_radius, None if f.degree is None else f.degree + m_max)
     r, z, wz = radial.nodes, sphere.line.nodes, sphere.line.weights
     nphi = len(sphere.nodes) // len(z)
-    fv = f((r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
+    fv = f(_polar_grid(radial, sphere))
     # azimuth stage: column c holds order m = (c + 1) // 2, cos(m phi) at
     # odd c and c = 0, sin(m phi) at even c > 0, times the azimuth weight
     col = np.arange(2 * m_max + 1)
@@ -222,11 +223,8 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     az = (table.T @ fv.reshape(-1, nphi).T).reshape(len(col), len(r), len(z))
     # meridian stage, per degree: one batched matvec over z of each row's
     # azimuth column against the row at the meridian points
-    meridian = np.zeros((len(z), n))
-    meridian[:, 0] = np.sqrt(1.0 - z * z)
-    meridian[:, -1] = z
     matrices: Dict[int, np.ndarray] = {}
-    for s, rows in sph_table(n, m_max, meridian):
+    for s, rows in sph_table(n, m_max, sphere.nodes[::nphi]):
         # row j reads column start + j: rows (cos s, sin s) at n = 2, all
         # orders up to s at n = 3, and n = 1 has one azimuth, so column 0
         d = len(rows)
@@ -312,23 +310,26 @@ def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float
 
 
 def rotation_commutes(f: ScalarField, g, m: int, points=None, seed: int = 0) -> float:
-    """Max pointwise discrepancy between projecting f(g .) and rotating the
-    projection of f, at level m.  g must be orthogonal to 1e-12.
-
-    The rotated field keeps the band and degree of f, so a field that
-    declares them gets rules that resolve everything it carries.
+    """Max pointwise discrepancy, over every level <= m, between projecting
+    f(g .) and rotating the projection of f, for g an orthogonal (n, n)
+    matrix or a stack of them, each orthogonal to 1e-12.  The rotated fields
+    keep the declarations of f, so their rules resolve everything f carries.
+    Each side is one polar_levels call, over every map at once.
     """
-    g = np.asarray(g, dtype=float)
     n = f.n
-    if g.shape != (n, n) or np.abs(g.T @ g - np.eye(n)).max() > 1e-12:
-        raise ContractViolationError("g must be an orthogonal n x n matrix")
-    rotated = dataclasses.replace(f, fn=lambda p: f(p @ g.T), label="")
-    proj_rotated = project(rotated, m, "polar", polar_coeffs(rotated, m))
-    proj_plain = project(f, m, "polar", polar_coeffs(f, m))
+    maps = np.asarray(g, dtype=float)
+    maps = maps[None] if maps.ndim == 2 else maps
+    if not len(maps) or maps.shape[1:] != (n, n) or np.abs(maps.swapaxes(1, 2) @ maps - np.eye(n)).max() > 1e-12:
+        raise ContractViolationError("g must be an orthogonal n x n matrix or a stack of them")
     if points is None:
         points = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(40, n))
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return float(np.abs(proj_rotated(points) - proj_plain(points @ g.T)).max())
+    rotated = [dataclasses.replace(f, fn=lambda p, q=q: f(p @ q.T), label="") for q in maps]
+    tables = [polar_coeffs(h, m).matrices for h in rotated]
+    plain = polar_coeffs(f, m).matrices
+    lhs = polar_levels(n, {s: np.stack([t[s] for t in tables]) for s in plain}, points)
+    rhs = polar_levels(n, plain, np.concatenate([points @ q.T for q in maps]))
+    return float(np.abs(lhs - rhs.reshape(-1, len(maps), len(points)).swapaxes(0, 1)).max())
 
 
 @dataclass
@@ -382,8 +383,7 @@ def field_norm_sq(f: ScalarField) -> float:
     n = f.n
     sphere = sphere_rule(n, _NORM_SPHERE_DEGREE if f.band is None else 2 * f.band)
     radial = default_radial_rules(n, f.support_radius, None if f.degree is None else 2 * f.degree)
-    vals = f((radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n))
-    vals = vals.reshape(len(radial.nodes), len(sphere.nodes))
+    vals = f(_polar_grid(radial, sphere)).reshape(len(radial.nodes), len(sphere.nodes))
     return float(radial.weights @ ((vals * vals) @ sphere.weights))
 
 

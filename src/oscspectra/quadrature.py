@@ -22,6 +22,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
+from .special_functions import (
+    _hermite_family,
+    _laguerre_family,
+    _legendre_family,
+    _orthonormal_table,
+)
 
 __all__ = [
     "QuadratureRule",
@@ -98,26 +104,8 @@ class QuadratureRule:
                 fh.close()
 
 
-def _orthonormal_values(x, a, b, psi0):
-    """Orthonormal-function values psi_0..psi_{len(a)} at x.
-
-    psi_k = sqrt(weight) p_k for the orthonormal polynomials p_k of the
-    weight, so the polynomial recurrence carries over unchanged:
-    b_{k+1} psi_{k+1} = (x - a_k) psi_k - b_k psi_{k-1}, with psi_0 = psi0(x)
-    and b = (b_1, .., b_{len(a)}).  The functions stay bounded where the
-    weight is tiny, which keeps rules of several hundred nodes finite.
-    """
-    psi = np.empty((len(a) + 1,) + x.shape)
-    psi[0] = psi0(x)
-    prev, b_prev = 0.0, 0.0
-    for k, (ak, bk) in enumerate(zip(a, b)):
-        psi[k + 1] = ((x - ak) * psi[k] - b_prev * prev) / bk
-        prev, b_prev = psi[k], bk
-    return psi
-
-
 def _golub_welsch(a, b, psi0):
-    """Gauss nodes and weights from the recurrence (a_k, b_{k+1}), k < len(a).
+    """Gauss nodes and weights of the orthonormal family (a, b, psi0).
 
     Nodes: eigenvalues of the symmetric tridiagonal Jacobi matrix (numpy's
     dense solver, which reads its lower triangle), then one Newton step on the
@@ -129,27 +117,27 @@ def _golub_welsch(a, b, psi0):
     out; no factor e^{x^2} is ever formed.
     """
     nodes = np.linalg.eigvalsh(np.diag(a) + np.diag(b[:-1], -1))
-    psi = _orthonormal_values(nodes, a, b, psi0)
+    psi = _orthonormal_table(nodes, a, b, psi0)
     nodes = nodes - b[-1] * psi[-1] * psi[-2] / np.sum(psi[:-1] ** 2, axis=0)
-    psi = _orthonormal_values(nodes, a[:-1], b[:-1], psi0)
+    psi = _orthonormal_table(nodes, a[:-1], b[:-1], psi0)
     return nodes, 1.0 / np.sum(psi**2, axis=0)
+
+
+def _check_size(name: str, n: int, cap: int) -> None:
+    """Refuse a rule of n nodes unless 1 <= n <= cap, before it is allocated."""
+    if n < 1:
+        raise ValueError(f"{name} requires n >= 1")
+    if n > cap:
+        raise ResourceLimitError(f"{name} of {n} nodes exceeds the {cap}-node cap")
 
 
 @lru_cache(maxsize=None)
 def gauss_hermite(n: int) -> QuadratureRule:
-    """n-point Gauss rule on the line, exact for p(x) e^{-x^2}, deg p <= 2n-1.
-
-    Weights come from the Hermite functions (psi_0 = pi^{-1/4} e^{-x^2/2}),
-    so raw Gaussian-decay evaluators integrate against plain dx.
-    """
-    if n < 1:
-        raise ValueError("gauss_hermite requires n >= 1")
-    if n > _LINE_CAP:
-        raise ResourceLimitError(f"gauss_hermite({n}) exceeds the {_LINE_CAP}-node cap")
-    k = np.arange(1.0, n + 1)
-    nodes, w = _golub_welsch(
-        np.zeros(n), np.sqrt(k / 2.0), lambda x: math.pi**-0.25 * np.exp(-0.5 * x * x)
-    )
+    """n-point Gauss rule on the line, exact for p(x) e^{-x^2}, deg p <= 2n-1;
+    its weights come from the Hermite functions, so raw evaluators integrate
+    against plain dx."""
+    _check_size("gauss_hermite", n, _LINE_CAP)
+    nodes, w = _golub_welsch(*_hermite_family(n))
     # enforce exact symmetry about the origin
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (w + w[::-1])
@@ -158,37 +146,19 @@ def gauss_hermite(n: int) -> QuadratureRule:
 
 @lru_cache(maxsize=None)
 def gauss_radial(n: int, beta: float) -> QuadratureRule:
-    """n-point rule for integrals over (0, inf) against r^{2 beta + 1} dr.
-
-    The generalized Gauss-Laguerre rule of parameter beta in t = r^2, with
-    weights from the Laguerre functions ell_k^beta(r) of
-    ``special_functions`` (psi_0 = sqrt(2 / Gamma(beta+1)) e^{-t/2}, which
-    absorbs the Jacobian dt = 2 r dr); exact whenever the integrand equals
-    p(r^2) e^{-r^2} with deg p <= 2n-1.
-    """
-    if n < 1:
-        raise ValueError("gauss_radial requires n >= 1")
-    if n > _RADIAL_CAP:
-        raise ResourceLimitError(f"gauss_radial({n}) exceeds the {_RADIAL_CAP}-node cap")
-    beta = float(beta)
-    if not beta > -1.0:
-        raise ValueError(f"gauss_radial requires beta > -1, got {beta}")
-    k = np.arange(1.0, n + 1)
-    log_c0 = 0.5 * (math.log(2.0) - math.lgamma(beta + 1.0))
-    t, weights = _golub_welsch(
-        2 * k - 1 + beta, np.sqrt(k * (k + beta)), lambda t: np.exp(log_c0 - 0.5 * t)
-    )
-    return QuadratureRule(np.sqrt(t), weights, f"radial(beta={beta:g})", 2 * n - 1)
+    """n-point rule for integrals over (0, inf) against r^{2 beta + 1} dr:
+    the generalized Gauss-Laguerre rule of order beta in t = r^2, weighted
+    by the Laguerre functions ell_k^beta(r), exact for p(r^2) e^{-r^2} with
+    deg p <= 2n-1."""
+    _check_size("gauss_radial", n, _RADIAL_CAP)
+    t, weights = _golub_welsch(*_laguerre_family(n, beta))
+    return QuadratureRule(np.sqrt(t), weights, f"radial(beta={float(beta):g})", 2 * n - 1)
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] (weight function 1)."""
-    if n < 1:
-        raise ValueError("gauss_legendre requires n >= 1")
-    k = np.arange(1.0, n + 1)
-    return _golub_welsch(
-        np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0), lambda x: np.full_like(x, 0.5**0.5)
-    )
+    _check_size("gauss_legendre", n, _LINE_CAP)
+    return _golub_welsch(*_legendre_family(n))
 
 
 def radial_rule_compact(n: int, radius: float, panels: int = 4) -> QuadratureRule:
@@ -211,49 +181,38 @@ def radial_rule_compact(n: int, radius: float, panels: int = 4) -> QuadratureRul
 
 @lru_cache(maxsize=None)
 def sphere_rule(n: int, degree: int) -> QuadratureRule:
-    """Quadrature on the unit sphere in R^n against surface measure.
+    """Quadrature on the unit sphere in R^n, n <= 3, against surface
+    measure, exact for spherical polynomials of degree <= ``degree``.
 
-    n=1: the exact two-point counting rule on {-1, +1}.
-    n=2: uniform (degree+1)-point circle rule, exact through trigonometric
-         degree ``degree``.
-    n=3: Gauss-Legendre in the polar cosine times uniform azimuth, exact for
-         spherical polynomials of degree <= ``degree``.
-
-    Every case is one product: a rule in the last coordinate z, kept in
+    One product for every n: a rule in the last coordinate z, kept in
     ``line`` (Gauss-Legendre at n=3, {-1, +1} at n=1, the single node z=0
-    at n=2), times nphi uniform azimuths phi_i = 2 pi i / nphi (nphi=1 at
-    n=1).  Node iz * nphi + i is the meridian point (sqrt(1-z^2), 0, .., z)
-    of line node iz turned through phi_i in the first two coordinates, and
-    its weight is the line weight times the uniform azimuth weight.
+    at n=2), times nphi = degree + 1 uniform azimuths phi_i = 2 pi i / nphi
+    (nphi=1 at n=1).  Node iz * nphi + i is the meridian point
+    (sqrt(1-z^2), 0, .., z) of line node iz turned through phi_i in the
+    first two coordinates, and its weight is the line weight times the
+    uniform azimuth weight.  More than 1e7 nodes is a resource-cap error.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if n == 1:
-        nodes = np.array([[-1.0], [1.0]])
-        weights = np.array([1.0, 1.0])
-        line = QuadratureRule(nodes[:, 0], weights, "sphere(1).z", max(degree, 1))
-        return QuadratureRule(nodes, weights, "sphere(1)", max(degree, 1), line=line)
-    if n == 2:
-        m = degree + 1
-        theta = 2.0 * math.pi * np.arange(m) / m
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        weights = np.full(m, 2.0 * math.pi / m)
-        line = QuadratureRule(np.zeros(1), np.ones(1), "sphere(2).z", degree)
-        return QuadratureRule(nodes, weights, "sphere(2)", degree, line=line)
+    if n not in (1, 2, 3):
+        raise ValueError(f"sphere_rule supports n in {{1, 2, 3}}, got n={n}")
+    nphi = 1 if n == 1 else degree + 1
+    nz = (degree + 2) // 2 if n == 3 else 3 - n  # z in {-1, +1} at n = 1, {0} at n = 2
+    _check_size("sphere_rule", nz * nphi, _TENSOR_CAP)
+    exact = max(degree, 1) if n == 1 else degree
     if n == 3:
-        nz = (degree + 2) // 2
-        nphi = degree + 1
-        z, wz = gauss_legendre(nz)
-        phi = 2.0 * math.pi * np.arange(nphi) / nphi
-        rho = np.sqrt(1.0 - z * z)
-        x = np.outer(rho, np.cos(phi)).ravel()
-        y = np.outer(rho, np.sin(phi)).ravel()
-        zz = np.repeat(z, nphi)
-        nodes = np.column_stack([x, y, zz])
-        weights = np.repeat(wz * (2.0 * math.pi / nphi), nphi)
-        line = QuadratureRule(z, wz, "gauss_legendre", 2 * nz - 1)
-        return QuadratureRule(nodes, weights, "sphere(3)", degree, line=line)
-    raise ValueError(f"sphere_rule supports n in {{1, 2, 3}}, got n={n}")
+        line = QuadratureRule(*gauss_legendre(nz), "gauss_legendre", 2 * nz - 1)
+    else:
+        z = np.array([-1.0, 1.0]) if n == 1 else np.zeros(1)
+        line = QuadratureRule(z, np.ones(nz), f"sphere({n}).z", exact)
+    z, wz = line.nodes, line.weights
+    phi = 2.0 * math.pi * np.arange(nphi) / nphi
+    rho = np.sqrt(1.0 - z * z)
+    # (x, y, z) at n = 3; the plane (x, y) at n = 2; the axis z at n = 1
+    coords = [np.outer(rho, np.cos(phi)).ravel(), np.outer(rho, np.sin(phi)).ravel(), np.repeat(z, nphi)]
+    nodes = np.column_stack(coords[:n] if n > 1 else coords[2:])
+    weights = np.repeat(wz * (2.0 * math.pi / nphi if n > 1 else 1.0), nphi)
+    return QuadratureRule(nodes, weights, f"sphere({n})", exact, line=line)
 
 
 def tensor_rule(line: QuadratureRule, n: int) -> QuadratureRule:
@@ -262,10 +221,8 @@ def tensor_rule(line: QuadratureRule, n: int) -> QuadratureRule:
         raise ContractViolationError("tensor_rule requires a gauss_hermite line rule")
     if n < 1:
         raise ValueError("tensor dimension must be >= 1")
-    npts = len(line.nodes)
-    total = npts**n
-    if total > _TENSOR_CAP:
-        raise ResourceLimitError(f"tensor rule would have {total} nodes (cap {_TENSOR_CAP})")
+    total = len(line.nodes) ** n
+    _check_size("tensor_rule", total, _TENSOR_CAP)
     grids = np.meshgrid(*([line.nodes] * n), indexing="ij")
     nodes = np.column_stack([g.ravel() for g in grids])
     wgrids = np.meshgrid(*([line.weights] * n), indexing="ij")
@@ -273,3 +230,10 @@ def tensor_rule(line: QuadratureRule, n: int) -> QuadratureRule:
     for g in wgrids:
         weights = weights * g.ravel()
     return QuadratureRule(nodes, weights, f"tensor({n})", line.exactness_degree, line=line)
+
+
+def _polar_grid(radial: QuadratureRule, sphere: QuadratureRule) -> np.ndarray:
+    """The (npts, n) points r_i omega_j of a radial x sphere product, radial-major."""
+    total = len(radial.nodes) * len(sphere.nodes)
+    _check_size("radial x sphere grid", total, _TENSOR_CAP)
+    return (radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(total, -1)

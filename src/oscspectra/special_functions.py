@@ -5,7 +5,9 @@ functions, and Gegenbauer polynomials.
 All evaluators are pure, vectorized over the argument, and run their
 three-term recurrences on the normalized functions directly, so no bare
 polynomial value or Gamma ratio is ever formed; this keeps k up to a few
-hundred inside double-precision range.
+hundred inside double-precision range.  One generator runs the orthonormal
+Hermite, Laguerre and Legendre families, for these tables and for the Gauss
+rules of ``quadrature``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,60 @@ def _as_float_array(x):
     return arr, arr.ndim == 0
 
 
+def _hermite_family(kmax: int):
+    """Hermite functions h_k, w = e^{-x^2} on the line."""
+    b = [math.sqrt(k / 2.0) for k in range(1, kmax + 1)]
+    return [0.0] * kmax, b, lambda x: math.pi**-0.25 * np.exp(-0.5 * x * x)
+
+
+def _laguerre_family(kmax: int, beta: float):
+    """Laguerre functions in t = r^2, w = t^beta e^{-t} on (0, inf), beta > -1.
+    psi_0 is seeded through log-Gamma, and its factor 2 absorbs the Jacobian
+    dt = 2 r dr, so the rows are orthonormal in L2((0,inf), r^{2 beta+1} dr)."""
+    beta, ks = check_laguerre_order(beta), range(1, kmax + 1)
+    log_c0 = 0.5 * (math.log(2.0) - math.lgamma(beta + 1.0))
+    a, b = [2 * k - 1 + beta for k in ks], [math.sqrt(k * (k + beta)) for k in ks]
+    return a, b, lambda t: np.exp(log_c0 - 0.5 * t)
+
+
+def _legendre_family(kmax: int):
+    """Orthonormal Legendre polynomials, w = 1 on [-1, 1]."""
+    b = [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, kmax + 1)]
+    return [0.0] * kmax, b, lambda x: np.full_like(x, 0.5**0.5)
+
+
+def _orthonormal_rows(x, a, b, psi0, out=None):
+    """Yield psi_0(x), .., psi_{len(a)}(x) of an orthonormal family by
+    b_{k+1} psi_{k+1} = (x - a_k) psi_k - b_k psi_{k-1}, holding two rows.
+
+    A family (a, b, psi0) above gives, for rows up to kmax, the lists
+    (a_0, .., a_{kmax-1}) and (b_1, .., b_kmax), which are also the Jacobi
+    matrix of its Gauss rule.  psi_k = sqrt(w) p_k for the orthonormal
+    polynomials p_k of the weight w, so their recurrence carries over, and
+    the functions stay bounded where the weight is tiny.  Each row is formed
+    in place: in out[k] when a table ``out`` is given, else in a new array.
+    """
+    prev, cur, b_prev = 0.0, psi0(x), 0.0
+    if out is not None:
+        out[0] = cur
+    yield cur
+    for k, (ak, bk) in enumerate(zip(a, b), 1):
+        nxt = np.subtract(x, ak, out=None if out is None else out[k, ...])
+        nxt *= cur
+        nxt -= b_prev * prev
+        nxt /= bk
+        prev, cur, b_prev = cur, nxt, bk
+        yield cur
+
+
+def _orthonormal_table(x, a, b, psi0) -> np.ndarray:
+    """The rows psi_0(x), .., psi_{len(a)}(x) in one (len(a)+1,) + x.shape array."""
+    out = np.empty((len(a) + 1,) + x.shape)
+    for _ in _orthonormal_rows(x, a, b, psi0, out):
+        pass
+    return out
+
+
 def laguerre_poly(k: int, beta: float, t):
     """Laguerre polynomial L_k^beta(t), normalized so L_k^beta(0) = C(k+beta, k).
 
@@ -71,29 +127,16 @@ def laguerre_fn_table(kmax: int, beta: float, r) -> np.ndarray:
     """Values ell_k^beta(r) for k = 0..kmax, shape (kmax+1,) + r.shape.
 
     ell_k^beta(r) = sqrt(2 k! / Gamma(k+beta+1)) L_k^beta(r^2) exp(-r^2/2),
-    orthonormal in L2((0,inf), r^{2 beta + 1} dr).  The recurrence runs on
-    the normalized values themselves,
-        ell_{k+1} = [(2k+beta+1-t) ell_k - sqrt(k(k+beta)) ell_{k-1}]
-                    / sqrt((k+1)(k+1+beta)),   t = r^2,
-    seeded through log-Gamma so nothing overflows.
+    orthonormal in L2((0,inf), r^{2 beta + 1} dr): (-1)^k times the rows of
+    the Laguerre family at t = r^2 (its polynomials lead with sign +1,
+    L_k^beta with (-1)^k), which the recurrence gives with every b_k negated.
     """
     kmax = _check_degree(kmax)
-    beta = check_laguerre_order(beta)
     r, _ = _as_float_array(r)
     if np.any(r < 0):
         raise ValueError("laguerre_fn is defined for r >= 0")
-    t = r * r
-    out = np.empty((kmax + 1,) + t.shape, dtype=float)
-    out[0] = np.exp(0.5 * (math.log(2.0) - math.lgamma(beta + 1.0)) - 0.5 * t)
-    if kmax >= 1:
-        prev = np.zeros_like(t)
-        cur = out[0]
-        for k in range(kmax):
-            nxt = ((2 * k + beta + 1 - t) * cur - math.sqrt(k * (k + beta)) * prev)
-            nxt /= math.sqrt((k + 1) * (k + 1 + beta))
-            prev, cur = cur, nxt
-            out[k + 1] = cur
-    return out
+    a, b, psi0 = _laguerre_family(kmax, beta)
+    return _orthonormal_table(r * r, a, [-v for v in b], psi0)
 
 
 def laguerre_fn(k: int, beta: float, r):
@@ -154,36 +197,22 @@ def laguerre_antidiagonal_table(kmax: int, a: float, x) -> np.ndarray:
     return out
 
 
-def _hermite_rows(kmax: int, x):
-    """Yield h_0(x), .., h_kmax(x), holding only the last two rows."""
-    prev = np.zeros_like(x)
-    cur = math.pi ** -0.25 * np.exp(-0.5 * x * x)
-    yield cur
-    for k in range(kmax):
-        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1.0)) * prev
-        yield cur
-
-
 def hermite_table(kmax: int, x) -> np.ndarray:
     """Orthonormal Hermite-function values h_k(x), k = 0..kmax.
 
     h_k(x) = (2^k k! sqrt(pi))^{-1/2} H_k(x) exp(-x^2/2) with physicists'
-    H_k, evaluated by the normalized recurrence
-        h_{k+1} = x sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}.
+    H_k: the rows of the Hermite family.
     """
     kmax = _check_degree(kmax)
     x, _ = _as_float_array(x)
-    out = np.empty((kmax + 1,) + x.shape, dtype=float)
-    for k, row in enumerate(_hermite_rows(kmax, x)):
-        out[k] = row
-    return out
+    return _orthonormal_table(x, *_hermite_family(kmax))
 
 
 def hermite_fn(k: int, x):
     """Orthonormal Hermite function h_k(x) on the line, storing no lower row."""
     k = _check_degree(k)
     x, scalar = _as_float_array(x)
-    for val in _hermite_rows(k, x):
+    for val in _orthonormal_rows(x, *_hermite_family(k)):
         pass
     return float(val) if scalar else val
 

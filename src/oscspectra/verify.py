@@ -29,6 +29,7 @@ from .projections import (
     hecke_bochner,
     parseval_check,
     polar_coeffs,
+    rotation_commutes,
 )
 from .quadrature import gauss_hermite, sphere_rule, tensor_rule
 from .special_functions import laguerre_fn_table
@@ -53,6 +54,10 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
     "oone": 1e-12,         # n=1 two-branch reduction
     "dims": 0.0,           # exact integer identity
 }
+
+# Seeded sample sizes: kernel pairs per level, sphere point pairs per degree,
+# and the rotation row's orthogonal maps, the first three of them reflections.
+_KERNEL_PAIRS, _ZONAL_PAIRS, _ROTATION_MAPS, _ROTATION_REFLECTIONS = 50, 100, 10, 3
 
 
 @dataclass(frozen=True)
@@ -79,16 +84,16 @@ def _row(identity, detail, n, measured, bound, cmp="<=") -> CheckRow:
     return CheckRow(identity, detail, n, measured, float(bound), cmp, bool(ok))
 
 
-def check_kernel_equality(n, m_max, seed, tol, trials=50) -> CheckRow:
+def check_kernel_equality(n, m_max, seed, tol) -> CheckRow:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in range(m_max + 1):
-        x = rng.uniform(-3.0, 3.0, size=(trials, n))
-        y = rng.uniform(-3.0, 3.0, size=(trials, n))
+        x = rng.uniform(-3.0, 3.0, size=(_KERNEL_PAIRS, n))
+        y = rng.uniform(-3.0, 3.0, size=(_KERNEL_PAIRS, n))
         d = phi_direct_values(n, m, x, y)
         p = phi_polar_values(n, m, x, y)
         worst = max(worst, float((np.abs(d - p) / (1.0 + np.abs(d))).max()))
-    return _row("eq", f"kernel equality, m<={m_max}, {trials} pairs", n, worst, tol)
+    return _row("eq", f"kernel equality, m<={m_max}, {_KERNEL_PAIRS} pairs", n, worst, tol)
 
 
 def check_spans(n, m_max, tol) -> CheckRow:
@@ -98,20 +103,20 @@ def check_spans(n, m_max, tol) -> CheckRow:
     return _row("eq", f"polynomial-span coincidence, m<={cap}", n, 0.0 if equal else math.inf, tol)
 
 
-def check_addition_theorem(n, s_max, seed, tol, pairs=100) -> CheckRow:
+def check_addition_theorem(n, s_max, seed, tol) -> CheckRow:
     rng = np.random.default_rng(seed)
     worst = 0.0
     degrees = [s for s in range(s_max + 1) if dim_harmonic(n, s)]
     for s in degrees:
         basis = sph_basis(n, s)
-        a = rng.standard_normal((pairs, n))
+        a = rng.standard_normal((_ZONAL_PAIRS, n))
         a /= np.linalg.norm(a, axis=1)[:, None]
-        b = rng.standard_normal((pairs, n))
+        b = rng.standard_normal((_ZONAL_PAIRS, n))
         b /= np.linalg.norm(b, axis=1)[:, None]
         lhs = np.einsum("jp,jp->p", basis.evaluate_all(a), basis.evaluate_all(b))
         rhs = zonal(n, s, np.sum(a * b, axis=1))
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return _row("zon", f"addition theorem, s<={degrees[-1]}, {pairs} pairs", n, worst, tol)
+    return _row("zon", f"addition theorem, s<={degrees[-1]}, {_ZONAL_PAIRS} pairs", n, worst, tol)
 
 
 def check_reproducing(n, s_max, seed, tol) -> CheckRow:
@@ -207,26 +212,20 @@ def check_eigen_orders(n, level_cap, seed, bound) -> CheckRow:
     return _row("bb", f"FD eigen-relation order, s+2k<={cap}", n, worst, bound, cmp=">=")
 
 
-def check_rotation(n, m_cap, seed, tol, count=10, reflections=3) -> CheckRow:
+def check_rotation(n, m_cap, seed, tol) -> CheckRow:
     rng = np.random.default_rng(seed)
     band = min(m_cap, 6)
     f, _ = fl.random_band_limited(n, band, rng)
-    coeffs_f = polar_coeffs(f, band)
     pts = rng.uniform(-2.5, 2.5, size=(40, n))
     maps = []
-    for i in range(count):
+    for i in range(_ROTATION_MAPS):
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         q = q * np.sign(np.diag(r))
-        if i < reflections:
+        if i < _ROTATION_REFLECTIONS:
             q[0] = -q[0]
         maps.append(q)
-    rotated = lambda q: fl.ScalarField(n, lambda p: f(p @ q.T), band=f.band, degree=f.degree)
-    tables = [polar_coeffs(rotated(q), band).matrices for q in maps]
-    # every level of every map, one evaluation per side: P_m(f o g)(pts), (P_m f)(g pts)
-    lhs = fl.polar_levels(n, {s: np.stack([t[s] for t in tables]) for s in coeffs_f.matrices}, pts)
-    rhs = fl.polar_levels(n, coeffs_f.matrices, np.concatenate([pts @ q.T for q in maps]))
-    worst = float(np.abs(lhs - rhs.reshape(-1, count, len(pts)).swapaxes(0, 1)).max())
-    return _row("com", f"rotation commutation, {count} maps incl. reflections", n, worst, tol)
+    worst = rotation_commutes(f, np.array(maps), band, points=pts)
+    return _row("com", f"rotation commutation, {_ROTATION_MAPS} maps incl. reflections", n, worst, tol)
 
 
 def check_hecke(n, m_cap, seed, tol, tol_off) -> tuple[CheckRow, CheckRow]:

@@ -40,6 +40,36 @@ def test_verify_rejects_bad_dimension(capsys):
     assert exc.value.code == 2
 
 
+# the other options each subcommand needs to get past argparse
+_REQUIRED = {
+    "verify": [],
+    "kernel": ["--m", "2"],
+    "project": ["--field", "gauss", "--m", "0"],
+    "bench": ["--m", "2"],
+    "dims": [],
+    "decay": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, n",
+    [(command, "0") for command in _REQUIRED] + [("project", "4"), ("decay", "4")],
+)
+def test_dimension_out_of_range_is_usage_error(command, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", n] + _REQUIRED[command])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--n" in err and "Traceback" not in err
+
+
+def test_project_negative_level_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--n", "2", "--field", "gauss", "--m", "-1"])
+    assert exc.value.code == 2
+    assert "--m" in capsys.readouterr().err
+
+
 def test_verify_tolerance_override_forces_failure(capsys):
     code, out, err = run_cli(
         ["verify", "--n", "1", "--m-max", "2", "--tol", "eq=1e-30"], capsys

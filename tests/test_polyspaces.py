@@ -1,6 +1,7 @@
 import io
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ from _oracles import hermite_phys, laguerre_series
 def test_monomial_order_graded():
     monos = monomials(2, 2)
     assert monos == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def test_monomials_list_each_degree_descending():
+    for n in range(1, 5):
+        for d in range(6):
+            want = [
+                e
+                for deg in range(d + 1)
+                for e in sorted((e for e in product(range(deg + 1), repeat=n) if sum(e) == deg), reverse=True)
+            ]
+            assert monomials(n, d) == want
 
 
 def test_hermite_span_n1_m2_coefficients():

@@ -266,7 +266,7 @@ def declared_fields(n):
     band_limited, _ = random_band_limited(n, 6, rng)
     solid = random_solid_harmonic(n, s, rng)
     g = -np.eye(1) if n == 1 else np.linalg.qr(rng.standard_normal((n, n)))[0]
-    rotated = ScalarField(  # as check_rotation and rotation_commutes build it
+    rotated = ScalarField(  # keeps the declarations, as rotation_commutes does
         n, lambda p: band_limited(p @ g.T), band=band_limited.band, degree=band_limited.degree
     )
     return {
@@ -557,6 +557,39 @@ def test_rotation_commutes_random_orthogonal_including_reflection():
             q[0] = -q[0]
         for m in (0, 3, 6):
             assert rotation_commutes(f, q, m) < 1e-8
+
+
+def test_rotation_commutes_on_a_stack_is_the_max_over_its_maps():
+    # one call compares every level of every map; it reads what the
+    # single-map calls read, map by map
+    rng = np.random.default_rng(31)
+    for n in (2, 3):
+        f, _ = random_band_limited(n, 5, rng)
+        maps = []
+        for i in range(4):
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
+            q = q * np.sign(np.diag(r))
+            if i % 2:
+                q[0] = -q[0]
+            maps.append(q)
+        stacked = rotation_commutes(f, np.array(maps), 5, seed=2)
+        assert stacked == max(rotation_commutes(f, q, 5, seed=2) for q in maps)
+        assert stacked < 1e-8
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        [np.eye(2), np.array([[1.0, 0.1], [0.0, 1.0]])],
+        [np.eye(3)],
+        np.eye(4).reshape(2, 2, 4),
+        np.zeros((0, 2, 2)),
+    ],
+    ids=["nonorthogonal-in-stack", "wrong-dimension", "wrong-shape", "empty-stack"],
+)
+def test_rotation_commutes_rejects_a_bad_stack(maps):
+    with pytest.raises(ContractViolationError):
+        rotation_commutes(gaussian_field(2), np.array(maps), 1)
 
 
 def test_rotation_commutes_rejects_nonorthogonal():

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -7,9 +8,9 @@ import pytest
 from oscspectra import quadrature
 from oscspectra.cli import main
 from oscspectra.errors import ContractViolationError, ResourceLimitError
-from oscspectra.fields import f0_gauss
+from oscspectra.fields import f0_gauss, gaussian_field
 from oscspectra.harmonics import sph_basis
-from oscspectra.projections import default_radial_rules
+from oscspectra.projections import default_radial_rules, field_norm_sq
 from oscspectra.quadrature import (
     gauss_hermite,
     gauss_legendre,
@@ -190,6 +191,20 @@ def test_sphere_rule_is_z_rule_times_uniform_azimuths(n):
     azimuth = rule.weights.reshape(len(z), nphi) / wz[:, None]
     assert np.abs(azimuth - azimuth[0, 0]).max() < 1e-15
     assert azimuth[0, 0] * nphi * wz.sum() == pytest.approx(rule.weights.sum(), rel=1e-14)
+
+
+def test_legendre_sphere_and_polar_grids_are_capped_before_they_allocate(capsys):
+    with pytest.raises(ResourceLimitError):
+        gauss_legendre(quadrature._LINE_CAP + 1)
+    with pytest.raises(ResourceLimitError):
+        sphere_rule(3, 1500)  # 751 Legendre nodes in z
+    with pytest.raises(ResourceLimitError):
+        sphere_rule(2, quadrature._TENSOR_CAP)  # one azimuth too many
+    # 381 radial nodes times a 30,001-node circle is past 1e7 grid points
+    with pytest.raises(ResourceLimitError):
+        field_norm_sq(dataclasses.replace(gaussian_field(2), band=15000, degree=760))
+    assert main(["--dump-rule", "radial_compact:n=745"]) == 3
+    assert "resource cap exceeded" in capsys.readouterr().err
 
 
 def test_sphere_rule_unsupported_dimension():

@@ -14,6 +14,7 @@ from oscspectra.special_functions import (
     laguerre_fn_table,
     laguerre_poly,
 )
+from oscspectra import quadrature, special_functions
 from oscspectra.quadrature import gauss_radial
 from oscspectra.errors import DimensionMismatchError
 
@@ -169,3 +170,29 @@ def test_high_degree_evaluations_stay_finite():
     assert math.isfinite(hermite_fn(150, 3.0))
     assert math.isfinite(laguerre_fn(150, 0.5, 5.0))
     assert abs(hermite_fn(150, 3.0)) < 1.0  # normalized functions are bounded
+
+
+def test_every_orthonormal_family_runs_through_the_one_recurrence(monkeypatch):
+    # the Hermite and Laguerre tables and the Hermite, Laguerre and Legendre
+    # Gauss rules all run one three-term recurrence generator
+    runs = []
+    generator = special_functions._orthonormal_rows
+
+    def counted(*args):
+        runs.append(len(args[1]))
+        return generator(*args)
+
+    monkeypatch.setattr(special_functions, "_orthonormal_rows", counted)
+    x = np.linspace(0.0, 2.0, 5)
+    calls = {
+        "hermite_table": lambda: hermite_table(4, x),
+        "hermite_fn": lambda: hermite_fn(4, x),
+        "laguerre_fn_table": lambda: laguerre_fn_table(4, 0.5, x),
+        "gauss_legendre": lambda: quadrature.gauss_legendre(6),
+        "gauss_hermite": lambda: quadrature.gauss_hermite.__wrapped__(6),
+        "gauss_radial": lambda: quadrature.gauss_radial.__wrapped__(6, 0.5),
+    }
+    for name, call in calls.items():
+        runs.clear()
+        call()
+        assert runs, name
