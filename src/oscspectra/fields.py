@@ -260,6 +260,8 @@ def parse_field_id(spec: str, n: int, rng: Optional[np.random.Generator] = None)
         return polar_eigenfield(n, k, s, j), s + 2 * k
     if name == "hecke":
         big_m, big_k = int(opts.get("M", 0)), int(opts.get("K", 0))
+        if big_k < 0:
+            raise ValueError(f"K must be a nonnegative integer, got {big_k}")
         f0_name = opts.get("f0", "gauss")
         if f0_name not in _F0:
             raise ValueError(f"unknown f0 {f0_name!r}; options: {sorted(_F0)}")

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractViolationError, IntegrabilityError
+from .errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
 from .harmonics import SolidHarmonic, sph_table
 from .kernels import multi_indices
@@ -183,6 +183,62 @@ def default_radial_rules(
     )
 
 
+class _ExtractionOperator(NamedTuple):
+    """Everything of polar extraction but the field values, for one pair of
+    rules: the weighted azimuth table, transposed, and per degree s the
+    first azimuth column its rows read, the meridian rows times the z
+    weights and the radial rows ell_k * w * r^s.  Every array is read-only."""
+
+    radial: QuadratureRule
+    sphere: QuadratureRule
+    azimuth: np.ndarray  # (2 m_max + 1, nphi)
+    degrees: Tuple[Tuple[int, int, np.ndarray, np.ndarray], ...]  # (s, start, (d, nz), (kmax+1, nr))
+
+
+def _frozen(a: np.ndarray, n: int, m_max: int, what: str) -> np.ndarray:
+    """a, read-only, once every entry is checked finite."""
+    if not np.all(np.isfinite(a)):
+        raise ResourceLimitError(f"polar extraction at n={n}, m_max={m_max}: {what} leave float64 range")
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _extraction_operator(
+    n: int, m_max: int, sphere_degree: int, support_radius: Optional[float], radial_degree: Optional[int]
+) -> _ExtractionOperator:
+    """The polar extraction operator on sphere_rule(n, sphere_degree) and
+    default_radial_rules(n, support_radius, radial_degree), built once per
+    key and shared by every field extracted on those rules.  A stage that
+    leaves float64 (r^s overflowing where ell_k has underflowed) raises
+    ResourceLimitError instead of handing out NaN coefficients."""
+    sphere = sphere_rule(n, sphere_degree)
+    radial = default_radial_rules(n, support_radius, radial_degree)
+    r, z, wz = radial.nodes, sphere.line.nodes, sphere.line.weights
+    nphi = len(sphere.nodes) // len(z)
+    # azimuth stage: column c holds order m = (c + 1) // 2, cos(m phi) at
+    # odd c and c = 0, sin(m phi) at even c > 0, times the azimuth weight
+    col = np.arange(2 * m_max + 1)
+    angle = np.outer(2.0 * math.pi * np.arange(nphi) / nphi, (col + 1) // 2)
+    table = np.where(col % 2 | (col == 0), np.cos(angle), np.sin(angle))
+    table *= sphere.weights[0] / wz[0]
+    degrees = []
+    for s, rows in sph_table(n, m_max, sphere.nodes[::nphi]):
+        # row j reads column start + j: rows (cos s, sin s) at n = 2, all
+        # orders up to s at n = 3, and n = 1 has one azimuth, so column 0
+        d = len(rows)
+        start = 0 if n == 1 else 2 * s + 1 - d
+        c = np.arange(start, start + d)
+        cos_row = c - start - ((c % 2 == 0) & (c > 0))  # a sin row is 0 here
+        ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rad = ell * (radial.weights * r**s)
+        meridian = _frozen(rows[cos_row] * wz, n, m_max, f"the meridian rows of degree s={s}")
+        degrees.append((s, start, meridian, _frozen(rad, n, m_max, f"the radial rows of degree s={s}")))
+    azimuth = _frozen(table.T, n, m_max, "the azimuth cos/sin values")
+    return _ExtractionOperator(radial, sphere, azimuth, tuple(degrees))
+
+
 def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     """All <f, phi_{k,s,j}> with s + 2k <= m_max.
 
@@ -197,43 +253,34 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     value), each row against its own azimuth column.  F is then paired with
     ell_k^{n/2-1+s} radially; the r^{+s} factor of phi_{k,s,j} is folded
     into the radial weight, so no division by a small radius ever happens.
+    Everything but the field values depends only on the two rules, so it
+    is one memoized read-only operator (_extraction_operator): a call is
+    one field evaluation, the azimuth product and two products per degree.
 
     Rules are sized from the field's declarations.  The sphere degree is
     f.band + m_max, so f integrates exactly against every Y_{s,j} with
     s <= m_max; without a band it is 2 m_max + 2 + _SPHERE_BAND_MARGIN.  For
     f of degree D, f phi_{k,s,j} is a polynomial of degree at most D + m_max
     times e^{-|x|^2}, which the radial rule for that degree integrates
-    exactly (see default_radial_rules).
+    exactly (see default_radial_rules).  Past float64 range (r^s
+    overflowing, from m_max of about 260 at n = 2, 3) it raises
+    ResourceLimitError.
     """
     n = f.n
     if n > 3:
         raise ValueError("polar coefficient extraction needs an explicit basis (n <= 3)")
     degree = 2 * m_max + 2 + _SPHERE_BAND_MARGIN if f.band is None else f.band + m_max
-    sphere = sphere_rule(n, degree)
-    radial = default_radial_rules(n, f.support_radius, None if f.degree is None else f.degree + m_max)
-    r, z, wz = radial.nodes, sphere.line.nodes, sphere.line.weights
-    nphi = len(sphere.nodes) // len(z)
-    fv = f(_polar_grid(radial, sphere))
-    # azimuth stage: column c holds order m = (c + 1) // 2, cos(m phi) at
-    # odd c and c = 0, sin(m phi) at even c > 0, times the azimuth weight
-    col = np.arange(2 * m_max + 1)
-    angle = np.outer(2.0 * math.pi * np.arange(nphi) / nphi, (col + 1) // 2)
-    table = np.where(col % 2 | (col == 0), np.cos(angle), np.sin(angle))
-    table *= sphere.weights[0] / wz[0]
-    az = (table.T @ fv.reshape(-1, nphi).T).reshape(len(col), len(r), len(z))
+    radial_degree = None if f.degree is None else f.degree + m_max
+    op = _extraction_operator(n, m_max, degree, f.support_radius, radial_degree)
+    nr, nz = len(op.radial.nodes), len(op.sphere.line.nodes)
+    fv = f(_polar_grid(op.radial, op.sphere))
+    az = (op.azimuth @ fv.reshape(-1, op.azimuth.shape[1]).T).reshape(-1, nr, nz)
     # meridian stage, per degree: one batched matvec over z of each row's
     # azimuth column against the row at the meridian points
     matrices: Dict[int, np.ndarray] = {}
-    for s, rows in sph_table(n, m_max, sphere.nodes[::nphi]):
-        # row j reads column start + j: rows (cos s, sin s) at n = 2, all
-        # orders up to s at n = 3, and n = 1 has one azimuth, so column 0
-        d = len(rows)
-        start = 0 if n == 1 else 2 * s + 1 - d
-        c = np.arange(start, start + d)
-        cos_row = c - start - ((c % 2 == 0) & (c > 0))  # a sin row is 0 here
-        fsj = np.matmul(az[start : start + d], (rows[cos_row] * wz)[:, :, None])[:, :, 0]
-        ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
-        matrices[s] = (ell * (radial.weights * r**s)) @ fsj.T  # (kmax+1, d_s)
+    for s, start, meridian, rad in op.degrees:
+        fsj = np.matmul(az[start : start + len(meridian)], meridian[:, :, None])[:, :, 0]
+        matrices[s] = rad @ fsj.T  # (kmax+1, d_s)
     return SpectralCoefficients(n, "polar", m_max, matrices=matrices)
 
 

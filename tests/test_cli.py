@@ -263,6 +263,29 @@ def test_project_degree_past_the_rule_cap_exits_3(capsys):
     assert "resource cap exceeded" in err and "Traceback" not in err
 
 
+def test_polar_extraction_past_float64_range_exits_3(capsys):
+    # ell_k * w * r^s stays finite at level 250; by 300, r^s overflows where
+    # ell_k has underflowed, and the extraction refuses instead of printing NaN
+    argv = ["project", "--n", "2", "--field", "gauss", "--points", "2", "--m"]
+    code, out, err = run_cli(argv + ["250"], capsys)
+    rows = parse_csv(out)
+    assert code == 0 and len(rows) == 2
+    assert all(math.isfinite(float(v)) for r in rows for v in r.values())
+    code, out, err = run_cli(argv + ["300"], capsys)
+    assert code == 3 and out == ""
+    assert "n=2, m_max=300" in err and "s=" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", (1, 3))
+@pytest.mark.parametrize("field", ("hecke:M=0,K=-3", "hecke:M=2,K=-1"))
+def test_negative_hecke_k_is_usage_error(field, n, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--n", str(n), "--field", field])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "K must be" in err and "Traceback" not in err
+
+
 def test_project_unknown_catalog_id(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["project", "--n", "2", "--field", "mystery", "--m", "1"])
@@ -327,9 +350,8 @@ def test_project_grid_file_without_scipy_names_the_extra(tmp_path, capsys, monke
     assert "oscspectra[grid]" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_unloaded():
+def _fresh_interpreter_prints(code):
     src = str(Path(oscspectra.__file__).resolve().parents[1])
-    code = "import sys, oscspectra; print('scipy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -338,7 +360,17 @@ def test_import_leaves_scipy_unloaded():
         timeout=120,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _fresh_interpreter_prints("import sys, oscspectra; print('scipy' in sys.modules)") == "False"
+
+
+def test_import_builds_no_extraction_operator():
+    # extraction operators are memoized on first use, never at import
+    code = "import oscspectra; print(oscspectra.projections._extraction_operator.cache_info().misses)"
+    assert _fresh_interpreter_prints(code) == "0"
 
 
 @pytest.mark.parametrize(

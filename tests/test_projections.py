@@ -24,6 +24,7 @@ from oscspectra.fields import (
 from oscspectra.harmonics import sph_basis
 from oscspectra.quadrature import sphere_rule
 from oscspectra.projections import (
+    _extraction_operator,
     coefficient_decay_probe,
     default_radial_rules,
     eigen_order_study,
@@ -186,6 +187,8 @@ def test_polar_coeffs_sweeps_harmonics_on_the_meridian_only(monkeypatch):
         return table(n, s_max, points)
 
     monkeypatch.setattr(projections_module, "sph_table", counting_table)
+    # the extraction operator is memoized: start cold, so this call builds it
+    _extraction_operator.cache_clear()
     m_max = 10
     polar_coeffs(bump_field(3), m_max)
     sphere = sphere_rule(3, m_max)  # the radial bump declares band 0
@@ -354,10 +357,12 @@ def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_onc
     monkeypatch.setattr(ScalarField, "__call__", record_call)
     for n, degrees in ((1, 2), (2, 4), (3, 4)):
         del radial[:], grids[:], grid_calls[:]
-        # radial rules are memoized: start cold, so each one the suite
-        # needs is built, and recorded, inside this run
+        # radial rules and the extraction operators holding them are
+        # memoized: start cold, so each one the suite needs is built, and
+        # recorded, inside this run
         gauss_radial.cache_clear()
         default_radial_rules.cache_clear()
+        _extraction_operator.cache_clear()
         run_suite(n, 8)
         # one order beta = n/2 - 1 for every harmonic degree; the sizes
         # follow each field's degree
@@ -413,6 +418,88 @@ def test_suite_field_calls_and_sweeps(n, call_bound, sweep_bound, monkeypatch):
         monkeypatch.setattr(module, "sph_table", counted_table)
     run_suite(n, 8)
     assert calls[0] <= call_bound and sweeps[0] <= sweep_bound
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_warm_suite_extracts_without_sweeps_or_laguerre_tables(n, monkeypatch):
+    # every extraction operator a pass needs is built once per rule, so a
+    # second pass makes no harmonic sweep and no Laguerre table inside
+    # polar extraction; hecke_bochner still forms its own radial row
+    import sys
+
+    import oscspectra.projections as projections_module
+
+    callers = {"sph_table": [], "laguerre_fn_table": []}
+    for name in callers:
+
+        def counted(*args, name=name, fn=getattr(projections_module, name)):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return fn(*args)
+
+        monkeypatch.setattr(projections_module, name, counted)
+    run_suite(n, 8)
+    assert "polar_coeffs" not in callers["sph_table"] + callers["laguerre_fn_table"]
+    for calls in callers.values():
+        calls.clear()
+    run_suite(n, 8)
+    assert callers["sph_table"] == []
+    assert set(callers["laguerre_fn_table"]) <= {"hecke_bochner"}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_cold_and_warm_extraction_are_bitwise_equal(n):
+    band, _ = random_band_limited(n, 8, np.random.default_rng(60 + n))
+    undeclared = ScalarField(n, gaussian_field(n).fn, label="gauss, undeclared")
+    for f in (band, bump_field(n), undeclared):
+        for cache in (_extraction_operator, default_radial_rules, gauss_radial, sphere_rule):
+            cache.cache_clear()
+        cold = polar_coeffs(f, 8).matrices
+        assert _extraction_operator.cache_info().currsize == 1
+        warm = polar_coeffs(f, 8).matrices
+        assert _extraction_operator.cache_info().hits == 1
+        assert cold.keys() == warm.keys()
+        assert all(cold[s].tobytes() == warm[s].tobytes() for s in cold)
+
+
+def test_extraction_operator_arrays_are_read_only():
+    f, _ = random_band_limited(3, 6, np.random.default_rng(70))
+    op = _extraction_operator(3, 6, f.band + 6, None, f.degree + 6)
+    arrays = [op.azimuth] + [a for _s, _start, *pair in op.degrees for a in pair]
+    assert len(arrays) == 1 + 2 * 7
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_returned_coefficients_do_not_alias_the_operator():
+    f, _ = random_band_limited(2, 6, np.random.default_rng(71))
+    first = polar_coeffs(f, 6)
+    want = {s: c.copy() for s, c in first.matrices.items()}
+    for c in first.matrices.values():
+        c[...] = 7.0
+    again = polar_coeffs(f, 6).matrices
+    assert all(np.array_equal(again[s], c) for s, c in want.items())
+
+
+def test_certify_pass_operators_fit_the_memory_bound(monkeypatch):
+    # run_suite(n, 8, seed=7) over n = 1..4 builds 38 operators holding
+    # about 1.87 MB; the bound allows about a third on top
+    import functools
+
+    import oscspectra.projections as projections_module
+
+    built = []
+    build = _extraction_operator.__wrapped__
+
+    def record(*key):
+        built.append(build(*key))
+        return built[-1]
+
+    monkeypatch.setattr(projections_module, "_extraction_operator", functools.lru_cache(maxsize=None)(record))
+    for n in (1, 2, 3, 4):
+        run_suite(n, 8, seed=7)
+    total = sum(op.azimuth.nbytes + sum(m.nbytes + r.nbytes for _s, _c, m, r in op.degrees) for op in built)
+    assert built and total <= 2_500_000
 
 
 def test_polar_coeffs_even_field_kills_odd_channel_n1():
