@@ -136,19 +136,18 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
 def polar_levels(n: int, matrices: dict, points) -> np.ndarray:
     """The polar expansion level by level at (npts, n) points: row m = s + 2k
     of the (L+1, npts) result is sum_j C_s[k, j] ell_k^{n/2-1+s}(|x|) |x|^s
-    Y_{s,j}(x') for (k, j) matrices C_s = matrices[s] up to top level L, or
-    tables stacked on leading axes of each C_s.  Each block of SWEEP_BLOCK
-    points makes one sph_table sweep, one Laguerre table per degree."""
-    top = max((s + 2 * c.shape[-2] - 2 for s, c in matrices.items()), default=0)
-    lead = np.broadcast_shapes(*(c.shape[:-2] for c in matrices.values()))
-    levels = np.zeros(lead + (top + 1, len(points)))
+    Y_{s,j}(x') for (k, j) matrices C_s = matrices[s] up to top level L.
+    Each block of SWEEP_BLOCK points makes one sph_table sweep, one Laguerre
+    table per degree."""
+    top = max((s + 2 * len(c) - 2 for s, c in matrices.items()), default=0)
+    levels = np.zeros((top + 1, len(points)))
     for i in range(0, len(points), SWEEP_BLOCK):
         block = points[i : i + SWEEP_BLOCK]
         r = np.sqrt(np.einsum("pi,pi->p", block, block))
         for s, rows in sph_table(n, max(matrices, default=0), block):
             if s in matrices:
-                ell = laguerre_fn_table(matrices[s].shape[-2] - 1, n / 2.0 - 1.0 + s, r)
-                levels[..., s : s + 2 * len(ell) : 2, i : i + SWEEP_BLOCK] += ell * (matrices[s] @ rows)
+                ell = laguerre_fn_table(len(matrices[s]) - 1, n / 2.0 - 1.0 + s, r)
+                levels[s : s + 2 * len(ell) : 2, i : i + SWEEP_BLOCK] += ell * (matrices[s] @ rows)
     return levels
 
 

@@ -1,15 +1,12 @@
-"""Coefficient extraction and spectral projection in both eigenbases,
+"""Coefficient extraction, level evaluation and projection in both eigenbases,
 the Hecke-Bochner closed form, the rotation-commutation check, Parseval
 defects, and the coefficient-decay probe for compactly supported fields.
 
 Functions enter as pure point-evaluators (ScalarField); nothing is gridded.
-Coefficients of a field against the polar basis are computed exactly as the
-polar factorization dictates: sphere-integrate f at each radial node to get
-F_{s,j}(r), then take the radial inner product against ell_k with the r^s
-factor folded into the radial weight (never dividing F by r^s).  Radial
-rules against r^{n-1} dr of one order serve every harmonic degree.  Every
-rule is sized from the field's declared band and degree, so it integrates
-a declared field exactly with the fewest nodes.
+Hermite coefficients come from a tensor Gauss rule, polar ones from the
+polar factorization, with one radial rule order for every harmonic degree.
+Every rule is sized from the field's declared band and degree, so it
+integrates a declared field exactly with the fewest nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
@@ -25,10 +22,11 @@ import numpy as np
 
 from .errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
-from .harmonics import SolidHarmonic, sph_table
+from .harmonics import SWEEP_BLOCK, SolidHarmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
     _polar_grid,
+    _TENSOR_CAP,
     LINE_N,
     RADIAL_N,
     QuadratureRule,
@@ -43,6 +41,7 @@ from .special_functions import hermite_table, laguerre_fn_table
 __all__ = [
     "SpectralCoefficients",
     "hermite_coeffs",
+    "hermite_levels",
     "polar_coeffs",
     "project",
     "hecke_bochner",
@@ -141,11 +140,12 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     D + m_max in each coordinate times e^{-|x|^2}, so floor((D + m_max)/2) + 1
     line nodes integrate it exactly; an undeclared f gets LINE_N.  The
     separable structure of the rule collapses the n-dimensional sums to one
-    axis contraction per dimension.
+    axis contraction per dimension.  A coefficient tensor of more than
+    _TENSOR_CAP entries raises ResourceLimitError before it is allocated.
     """
     n = f.n
-    if n > 3:
-        raise ValueError("hermite coefficient extraction is capped at n <= 3")
+    if (m_max + 1) ** n > _TENSOR_CAP:
+        raise ResourceLimitError(f"hermite coefficient tensor to m_max={m_max} at n={n} exceeds {_TENSOR_CAP} entries")
     line = gauss_hermite(LINE_N if f.degree is None else (f.degree + m_max) // 2 + 1)
     c = f(tensor_rule(line, n).nodes).reshape((len(line.nodes),) * n)
     a = hermite_table(m_max, line.nodes) * line.weights
@@ -153,8 +153,32 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     # so after n of them the degree axes are back in order
     for _ in range(n):
         c = np.tensordot(c, a, axes=([0], [1]))
-    c[np.indices(c.shape).sum(axis=0) > m_max] = 0.0
+    c[reduce(np.add.outer, [np.arange(m_max + 1)] * n) > m_max] = 0.0
     return SpectralCoefficients(n, "hermite", m_max, tensor=c)
+
+
+def _hermite_blocks(alphas: np.ndarray, top: int, points: np.ndarray):
+    """h_alpha(x) = prod_d h_{alpha_d}(x_d) for each row alpha of (N, n)
+    alphas, entries <= top, at (npts, n) points: one (N, block) array per
+    block of SWEEP_BLOCK points, each from one hermite_table."""
+    for i in range(0, max(len(points), 1), SWEEP_BLOCK):
+        block = points[i : i + SWEEP_BLOCK]
+        table = hermite_table(top, block.ravel()).reshape(top + 1, *block.shape)
+        yield reduce(np.multiply, (table[a, :, d] for d, a in enumerate(alphas.T)))
+
+
+def hermite_levels(tensor: np.ndarray, points) -> np.ndarray:
+    """The Hermite expansion level by level at (npts, n) points: row m of the
+    (L+1, npts) result is sum_{|alpha|=m} c_alpha h_alpha(x) for a tensor c
+    of shape (L+1,)^n, or tensors stacked on leading axes, which give rows
+    stacked the same way.  c is gathered over the simplex |alpha| <= L only,
+    one block of SWEEP_BLOCK points at a time."""
+    n, top = points.shape[1], tensor.shape[-1] - 1
+    alphas = np.array([a for m in range(top + 1) for a in multi_indices(n, m)])
+    starts = [math.comb(m + n - 1, n) for m in range(top + 1)]  # #{|alpha| < m}
+    c = tensor[(...,) + tuple(alphas.T)][..., None]
+    blocks = _hermite_blocks(alphas, top, points)
+    return np.concatenate([np.add.reduceat(c * v, starts, axis=-2) for v in blocks], axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -303,25 +327,17 @@ def project(
     if coeffs.m_max < m:
         raise ContractViolationError(f"coefficients truncated at {coeffs.m_max} < level {m}")
     if basis == "hermite":
-        level = [(a, coeffs.tensor[a]) for a in multi_indices(n, m)]
-
-        def fn_h(pts):
-            out = np.zeros(len(pts))
-            table = hermite_table(m, pts.ravel()).reshape(-1, len(pts), n)
-            for alpha, c in level:
-                term = np.full(len(pts), c)
-                for d, a in enumerate(alpha):
-                    term = term * table[a, :, d]
-                out += term
-            return out
-
-        return ScalarField(n, fn_h, label=f"proj[m={m},hermite]({f.label})", band=m, degree=m)
-    if basis != "polar":
+        # the |alpha| = m face of the gather hermite_levels makes over the simplex
+        face = np.array(multi_indices(n, m))
+        c = coeffs.tensor[tuple(face.T)]
+        fn = lambda pts: np.concatenate([c @ v for v in _hermite_blocks(face, m, pts)])
+    elif basis == "polar":
+        # degrees s = m - 2k cut at row k: the top level is m, or a zero row if none
+        matrices = {s: c[: (m - s) // 2 + 1] for s, c in coeffs.matrices.items() if s <= m and (m - s) % 2 == 0}
+        fn = lambda pts: polar_levels(n, matrices, pts)[-1]
+    else:
         raise ValueError(f"unknown basis {basis!r}")
-    # degrees s = m - 2k cut at row k: the top level is m, or a zero row if none
-    matrices = {s: c[: (m - s) // 2 + 1] for s, c in coeffs.matrices.items() if s <= m and (m - s) % 2 == 0}
-    fn = lambda pts: polar_levels(n, matrices, pts)[-1]
-    return ScalarField(n, fn, label=f"proj[m={m},polar]({f.label})", band=m, degree=m)
+    return ScalarField(n, fn, label=f"proj[m={m},{basis}]({f.label})", band=m, degree=m)
 
 
 def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float, ScalarField]:
@@ -357,11 +373,11 @@ def hecke_bochner(f0: Callable, solid: SolidHarmonic, big_k: int) -> Tuple[float
 
 
 def rotation_commutes(f: ScalarField, g, m: int, points=None, seed: int = 0) -> float:
-    """Max pointwise discrepancy, over every level <= m, between projecting
-    f(g .) and rotating the projection of f, for g an orthogonal (n, n)
+    """Max pointwise discrepancy, over every Hermite level <= m, between
+    projecting f(g .) and rotating the projection of f, for g an orthogonal (n, n)
     matrix or a stack of them, each orthogonal to 1e-12.  The rotated fields
     keep the declarations of f, so their rules resolve everything f carries.
-    Each side is one polar_levels call, over every map at once.
+    Each side reads hermite_levels once, over every map at once.
     """
     n = f.n
     maps = np.asarray(g, dtype=float)
@@ -372,10 +388,8 @@ def rotation_commutes(f: ScalarField, g, m: int, points=None, seed: int = 0) -> 
         points = np.random.default_rng(seed).uniform(-2.5, 2.5, size=(40, n))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rotated = [dataclasses.replace(f, fn=lambda p, q=q: f(p @ q.T), label="") for q in maps]
-    tables = [polar_coeffs(h, m).matrices for h in rotated]
-    plain = polar_coeffs(f, m).matrices
-    lhs = polar_levels(n, {s: np.stack([t[s] for t in tables]) for s in plain}, points)
-    rhs = polar_levels(n, plain, np.concatenate([points @ q.T for q in maps]))
+    lhs = hermite_levels(np.stack([hermite_coeffs(h, m).tensor for h in rotated]), points)
+    rhs = hermite_levels(hermite_coeffs(f, m).tensor, np.concatenate([points @ q.T for q in maps]))
     return float(np.abs(lhs - rhs.reshape(-1, len(maps), len(points)).swapaxes(0, 1)).max())
 
 

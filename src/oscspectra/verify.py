@@ -27,6 +27,8 @@ from .projections import (
     eigen_order_study,
     field_norm_sq,
     hecke_bochner,
+    hermite_coeffs,
+    hermite_levels,
     parseval_check,
     polar_coeffs,
     rotation_commutes,
@@ -120,19 +122,17 @@ def check_addition_theorem(n, s_max, seed, tol) -> CheckRow:
 
 
 def check_reproducing(n, s_max, seed, tol) -> CheckRow:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
     degrees = [s for s in range(s_max + 1) if dim_harmonic(n, s)]
     rule = sphere_rule(n, 2 * degrees[-1] + 2)
-    for s in degrees:
-        basis = sph_basis(n, s)
-        yvals = basis.evaluate_all(rule.nodes)
-        poles = rng.standard_normal((8, n))
-        poles /= np.linalg.norm(poles, axis=1)[:, None]
-        zmat = zonal(n, s, np.clip(poles @ rule.nodes.T, -1, 1))  # (poles, nodes)
-        recon = zmat * rule.weights @ yvals.T  # (poles, dim)
-        direct = basis.evaluate_all(poles).T
-        worst = max(worst, float(np.abs(recon - direct).max()))
+    poles = np.random.default_rng(seed).standard_normal((len(degrees), 8, n))  # 8 per degree
+    poles /= np.linalg.norm(poles, axis=2)[:, :, None]
+    # the basis rows of every degree from one sweep over the rule nodes and one over the poles
+    ys, direct = dict(sph_table(n, degrees[-1], rule.nodes)), dict(sph_table(n, degrees[-1], poles.reshape(-1, n)))
+    worst = 0.0
+    for i, s in enumerate(degrees):
+        zmat = zonal(n, s, np.clip(poles[i] @ rule.nodes.T, -1, 1))  # (poles, nodes)
+        recon = zmat * rule.weights @ ys[s].T  # (poles, dim)
+        worst = max(worst, float(np.abs(recon - direct[s][:, 8 * i : 8 * i + 8].T).max()))
     return _row("zon", f"reproducing property, s<={degrees[-1]}", n, worst, tol)
 
 
@@ -168,7 +168,7 @@ def check_polar_gram(n, level_cap, tol) -> CheckRow:
 
 def check_parseval_bandlimited(n, seed, tol) -> CheckRow:
     rng = np.random.default_rng(seed)
-    f, true_coeffs = fl.random_band_limited(n, 6, rng)
+    f, _ = fl.random_band_limited(n, 6, rng)
     coeffs = polar_coeffs(f, 6)
     defect = parseval_check(f, coeffs, field_norm_sq(f))
     return _row("aa", "Parseval defect, band-limited field", n, abs(defect), tol)
@@ -231,22 +231,19 @@ def check_rotation(n, m_cap, seed, tol) -> CheckRow:
 def check_hecke(n, m_cap, seed, tol, tol_off) -> tuple[CheckRow, CheckRow]:
     rng = np.random.default_rng(seed)
     big_m_max = max(s for s in range(min(4, m_cap) + 1) if dim_harmonic(n, s))
-    worst = 0.0
-    worst_off = 0.0
+    worst = worst_off = 0.0
     pts_rng = np.random.default_rng(seed + 1)
     for big_m in range(big_m_max + 1):
         solid = fl.random_solid_harmonic(n, big_m, rng)
         f = fl.radial_harmonic_field(fl.f0_gauss_poly, solid)
-        level_top = big_m + 2 * 3
         pts = pts_rng.uniform(-2.0, 2.0, size=(20, n))
-        # rows 0..level_top + 2: every projection of f at pts
-        levels = fl.polar_levels(n, polar_coeffs(f, level_top + 2).matrices, pts)
+        # rows 0..M + 8, two past the top K = 3: every Hermite projection of f at pts
+        levels = hermite_levels(hermite_coeffs(f, big_m + 8).tensor, pts)
         for big_k in range(4):
             _, closed = hecke_bochner(fl.f0_gauss_poly, solid, big_k)
             worst = max(worst, float(np.abs(closed(pts) - levels[big_m + 2 * big_k]).max()))
         m = np.arange(len(levels))
-        off = levels[(m < big_m) | ((m - big_m) % 2 == 1)]
-        worst_off = max(worst_off, float(np.abs(off).max()))
+        worst_off = max(worst_off, float(np.abs(levels[(m < big_m) | ((m - big_m) % 2 == 1)]).max()))
     return (
         _row("Th", f"Hecke-Bochner closed form, M<={big_m_max}, K<=3", n, worst, tol),
         _row("Th", "off-pattern projections vanish", n, worst_off, tol_off),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oscspectra.errors import ContractViolationError, IntegrabilityError
+from oscspectra.errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from oscspectra.fields import (
     ScalarField,
     bump_field,
@@ -21,7 +21,7 @@ from oscspectra.fields import (
     random_solid_harmonic,
     truncated_gaussian_field,
 )
-from oscspectra.harmonics import sph_basis
+from oscspectra.harmonics import SWEEP_BLOCK, sph_basis
 from oscspectra.quadrature import sphere_rule
 from oscspectra.projections import (
     _extraction_operator,
@@ -31,13 +31,15 @@ from oscspectra.projections import (
     field_norm_sq,
     hecke_bochner,
     hermite_coeffs,
+    hermite_levels,
     parseval_check,
     polar_coeffs,
     project,
     rotation_commutes,
 )
 from oscspectra.quadrature import QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
-from oscspectra.verify import DEFAULT_TOLERANCES, check_hecke, check_oone, run_suite
+from oscspectra.special_functions import hermite_fn_multi
+from oscspectra.verify import DEFAULT_TOLERANCES, check_hecke, check_oone, check_rotation, run_suite
 
 from _oracles import (
     coefficient_entries,
@@ -59,6 +61,18 @@ def test_hermite_coeffs_eigenfield_orthonormality():
     c = hermite_coeffs(f, 4)
     assert c.entries[(2, 1)] == pytest.approx(1.0, abs=1e-11)
     assert offdiag_max(c, (2, 1)) < 1e-11
+
+
+def test_hermite_coeffs_reach_past_n3_and_refuse_an_oversized_tensor():
+    for alpha in ((1, 0, 2, 1), (1, 0, 1, 0, 1)):
+        c = hermite_coeffs(hermite_eigenfield(alpha), 4)
+        assert c.entries[alpha] == pytest.approx(1.0, abs=1e-12)
+        assert offdiag_max(c, alpha) < 1e-12
+    # 21^6 and 251^3 coefficient entries are past the 10^7 cap
+    with pytest.raises(ResourceLimitError, match="hermite coefficient tensor"):
+        hermite_coeffs(gaussian_field(6), 20)
+    with pytest.raises(ResourceLimitError, match="hermite coefficient tensor"):
+        hermite_coeffs(gaussian_field(3), 250)
 
 
 def test_hermite_coeffs_linearity():
@@ -247,9 +261,9 @@ def test_fields_declare_their_band(monkeypatch):
 
     def record(field, m_max):
         seen.append((field.band, field.degree))
-        return polar_coeffs(field, m_max)
+        return hermite_coeffs(field, m_max)
 
-    monkeypatch.setattr(projections_module, "polar_coeffs", record)
+    monkeypatch.setattr(projections_module, "hermite_coeffs", record)
     rotation_commutes(f, g, 3)
     assert seen == [(5, 5), (5, 5)]  # the rotated field keeps the declarations of f
 
@@ -339,22 +353,34 @@ def test_polar_coeffs_evaluates_field_once():
 
 
 def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_once(monkeypatch):
-    radial, grids, grid_calls = [], [], []
+    import oscspectra.verify as verify_module
+
+    radial, grids, grid_calls, inside = [], [], [], [False]
     post_init, call = QuadratureRule.__post_init__, ScalarField.__call__
+    factorization = verify_module.check_factorization
 
     def record_rule(rule):
         post_init(rule)
         if rule.domain_tag.startswith("radial"):
             radial.append((rule.domain_tag, len(rule.nodes)))
-        elif rule.domain_tag.startswith("tensor"):
+        elif rule.domain_tag.startswith("tensor") and inside[0]:
             grids.append(rule.nodes)
 
     def record_call(field, points):
         grid_calls.extend(field for g in grids if points is g)
         return call(field, points)
 
+    def record_factorization(*args):
+        # Hermite extraction builds tensor grids too: count only this check's
+        inside[0] = True
+        try:
+            return factorization(*args)
+        finally:
+            inside[0] = False
+
     monkeypatch.setattr(QuadratureRule, "__post_init__", record_rule)
     monkeypatch.setattr(ScalarField, "__call__", record_call)
+    monkeypatch.setattr(verify_module, "check_factorization", record_factorization)
     for n, degrees in ((1, 2), (2, 4), (3, 4)):
         del radial[:], grids[:], grid_calls[:]
         # radial rules and the extraction operators holding them are
@@ -374,10 +400,11 @@ def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_onc
 
 @pytest.mark.parametrize("n, bound", ((1, 8_800), (2, 66_000), (3, 125_000)))
 def test_suite_field_evaluation_points(n, bound, monkeypatch):
-    # run_suite(n, 8) evaluates fields at 8,024 / 60,116 / 113,565 points
+    # run_suite(n, 8) evaluates fields at 6,873 / 52,115 / 107,721 points
     # for n = 1 / 2 / 3 on rules sized from each field's degree; the bounds
-    # allow 10% on top (the fixed 64-node line, 80-node radial and
-    # degree 2m + 14 sphere rules took 9,264 / 224,680 / 3,030,424)
+    # allow 10% on top of the 8,024 / 60,116 / 113,565 they were set at (the
+    # fixed 64-node line, 80-node radial and degree 2m + 14 sphere rules
+    # took 9,264 / 224,680 / 3,030,424)
     count = [0]
     call = ScalarField.__call__
 
@@ -392,9 +419,10 @@ def test_suite_field_evaluation_points(n, bound, monkeypatch):
 
 @pytest.mark.parametrize("n, call_bound, sweep_bound", ((1, 48, 66), (2, 101, 160), (3, 99, 157)))
 def test_suite_field_calls_and_sweeps(n, call_bound, sweep_bound, monkeypatch):
-    # run_suite(n, 8) makes 44 / 92 / 90 field calls and 60 / 145 / 143
+    # a cold run_suite(n, 8) makes 44 / 92 / 90 field calls and 54 / 105 / 104
     # sph_table sweeps for n = 1 / 2 / 3, with each multi-level check
-    # evaluating once per point set; the bounds allow about 10% on top (one
+    # evaluating once per point set; the bounds allow about 10% on top of the
+    # 44 / 92 / 90 calls and 60 / 145 / 143 sweeps they were set at (one
     # projection evaluation per level and one field evaluation per FD step
     # took 97 / 357 / 355 calls and 110 / 403 / 401 sweeps)
     import oscspectra.fields as fields_module
@@ -816,26 +844,82 @@ def test_polar_levels_rows_are_the_projections(n):
     for m in range(9):
         assert np.abs(levels[m] - project(f, m, "polar", coeffs)(pts)).max() <= 1e-14 * scale
     assert np.abs(levels.sum(axis=0) - want).max() <= 1e-14 * scale
-    # tables stacked on a leading axis give the stacked level arrays
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_hermite_levels_rows_are_the_projections(n):
+    # row m is the level-m Hermite projection, origin included; the rows
+    # sum to f, and tensors stacked on a leading axis give stacked rows
+    rng = np.random.default_rng(95 + n)
+    f, _ = random_band_limited(n, 8, rng, terms=30)
+    coeffs = hermite_coeffs(f, 8)
+    pts = np.vstack([rng.uniform(-2.5, 2.5, size=(50, n)), np.zeros(n)])
+    levels = hermite_levels(coeffs.tensor, pts)
+    want = f(pts)
+    scale = np.abs(want).max()
+    assert levels.shape == (9, len(pts))
+    for m in range(9):
+        assert np.abs(levels[m] - project(f, m, "hermite", coeffs)(pts)).max() <= 1e-14 * scale
+    assert np.abs(levels.sum(axis=0) - want).max() <= 1e-14 * scale
     g, _ = random_band_limited(n, 8, rng, terms=30)
-    other = polar_coeffs(g, 8).matrices
-    stacked = polar_levels(n, {s: np.stack([c, other[s]]) for s, c in coeffs.matrices.items()}, pts)
+    other = hermite_coeffs(g, 8).tensor
+    stacked = hermite_levels(np.stack([coeffs.tensor, other]), pts)
     assert stacked.shape == (2,) + levels.shape
-    assert np.abs(stacked[0] - levels).max() <= 1e-14 * scale
-    assert np.abs(stacked[1] - polar_levels(n, other, pts)).max() <= 1e-14 * np.abs(g(pts)).max()
+    assert np.array_equal(stacked[0], levels)
+    assert np.array_equal(stacked[1], hermite_levels(other, pts))
+
+
+def test_hermite_evaluators_work_block_by_block():
+    # past SWEEP_BLOCK points each block is evaluated on its own, and no
+    # points give empty rows
+    f, _ = random_band_limited(2, 4, np.random.default_rng(7))
+    coeffs = hermite_coeffs(f, 4)
+    pts = np.random.default_rng(8).uniform(-2.0, 2.0, size=(SWEEP_BLOCK + 3, 2))
+    head, tail = pts[:SWEEP_BLOCK], pts[SWEEP_BLOCK:]
+    levels = hermite_levels(coeffs.tensor, pts)
+    assert np.array_equal(levels, np.hstack([hermite_levels(coeffs.tensor, head), hermite_levels(coeffs.tensor, tail)]))
+    proj = project(f, 3, "hermite", coeffs)
+    assert np.array_equal(proj(pts), np.concatenate([proj(head), proj(tail)]))
+    assert hermite_levels(coeffs.tensor, pts[:0]).shape == (5, 0) and proj(pts[:0]).shape == (0,)
+
+
+def levels_by_max_entry(tensor, points):
+    """hermite_levels with the planted level set max(alpha) = m in place of
+    |alpha| = m: the rows still sum to the expansion."""
+    n, top = points.shape[1], tensor.shape[-1] - 1
+    rows = np.zeros(tensor.shape[:-n] + (top + 1, len(points)))
+    for alpha in np.ndindex(tensor.shape[-n:]):
+        if sum(alpha) <= top:
+            rows[..., max(alpha), :] += tensor[(...,) + alpha][..., None] * hermite_fn_multi(alpha, points)
+    return rows
+
+
+def test_planted_max_entry_level_set_fails_rotation_and_hecke(monkeypatch):
+    import oscspectra.projections as projections_module
+    import oscspectra.verify as verify_module
+
+    tol = DEFAULT_TOLERANCES
+    rows = lambda n: [check_rotation(n, 8, 7, tol["com"]), *check_hecke(n, 8, 7, tol["th"], tol["th_offpattern"])]
+    assert all(row.passed for n in (2, 3) for row in rows(n))
+    for module in (projections_module, verify_module):
+        monkeypatch.setattr(module, "hermite_levels", levels_by_max_entry)
+    for n in (2, 3):
+        assert not any(row.passed for row in rows(n))
 
 
 def test_level_mixup_fails_the_batched_checks(monkeypatch):
     # rows rolled by one level keep every field value (the level sum is
     # unchanged), but row m then holds level m - 1
     import oscspectra.fields as fields_module
+    import oscspectra.verify as verify_module
 
     tol = DEFAULT_TOLERANCES
     hecke = lambda n: check_hecke(n, 8, 0, tol["th"], tol["th_offpattern"])
     assert all(row.passed for n in (1, 2, 3) for row in hecke(n))
     assert check_oone(8, 0, tol["oone"]).passed
-    levels = fields_module.polar_levels
-    monkeypatch.setattr(fields_module, "polar_levels", lambda *a: np.roll(levels(*a), 1, axis=0))
+    polar, hermite = fields_module.polar_levels, verify_module.hermite_levels
+    monkeypatch.setattr(fields_module, "polar_levels", lambda *a: np.roll(polar(*a), 1, axis=0))
+    monkeypatch.setattr(verify_module, "hermite_levels", lambda *a: np.roll(hermite(*a), 1, axis=0))
     for n in (1, 2, 3):
         closed, off = hecke(n)
         assert not closed.passed and not off.passed
