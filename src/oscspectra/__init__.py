@@ -54,6 +54,7 @@ from .polyspaces import (
     PolySpan,
     SpanComparison,
     dimension_identity,
+    heat_certificate,
     hermite_span,
     laguerre_harmonic_span,
     monomials,

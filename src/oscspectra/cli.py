@@ -26,7 +26,7 @@ from .fields import parse_field_id, ScalarField
 from .kernels import (
     kernel_bench, multi_index_count, phi_direct_values, phi_polar_values, polar_term_count
 )
-from .polyspaces import dimension_identity, hermite_span, laguerre_harmonic_span, spans_equal
+from .polyspaces import dimension_identity, heat_certificate, hermite_span, laguerre_harmonic_span
 from .projections import coefficient_decay_probe, hermite_coeffs, polar_coeffs, project
 from .quadrature import (
     gauss_hermite,
@@ -267,9 +267,7 @@ def cmd_dims(args, parser):
         lhs, rhs = dimension_identity(args.n, m)
         row = {"m": m, "dim_laguerre_harmonic": lhs, "dim_poly": rhs, "equal": int(lhs == rhs)}
         if args.spans and m <= 8:
-            cmpres = spans_equal(
-                hermite_span(args.n, m), laguerre_harmonic_span(args.n, m)
-            )
+            cmpres = heat_certificate(hermite_span(args.n, m), laguerre_harmonic_span(args.n, m))
             row.update(
                 rank_hermite=cmpres.rank_a,
                 rank_laguerre=cmpres.rank_b,

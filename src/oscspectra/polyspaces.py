@@ -1,8 +1,14 @@
 """Exact verification that the degree-m Hermite-product span and the
-Laguerre-times-solid-harmonic span coincide as polynomial spaces, via
-integer monomial-coefficient matrices (on a closed-form rational harmonic
-basis) and ranks over Q, with no threshold; plus the dimension bookkeeping
+Laguerre-times-solid-harmonic span coincide as polynomial spaces, on
+integer monomial-coefficient matrices over a closed-form rational harmonic
+basis, with no threshold; plus the dimension bookkeeping
 d_m + d_{m-2} + ... = dim P_m.
+
+``heat_certificate`` certifies the coincidence in heat normal form:
+H_alpha = 2^{|alpha|} e^{-Delta/4} x^alpha, and e^{-Delta/4}(|x|^{2k} h) =
+(-1)^k k! L_k^{(s+n/2-1)}(|x|^2) h for h harmonic of degree s, so both
+spans are e^{-Delta/4} P_m^hom once their degree-m blocks have full rank.
+``spans_equal`` compares any two spans by exact ranks over Q.
 
 Monomial ordering is graded lexicographic (total degree ascending, then
 exponent tuples descending), recorded in the CSV header so dumped matrices
@@ -30,6 +36,7 @@ __all__ = [
     "hermite_span",
     "laguerre_harmonic_span",
     "spans_equal",
+    "heat_certificate",
     "dimension_identity",
     "solid_harmonic_poly",
 ]
@@ -248,6 +255,64 @@ def spans_equal(a: PolySpan, b: PolySpan, tol: float = 1e-10) -> SpanComparison:
     ia, ib = _integer_rows(a.matrix), _integer_rows(b.matrix)
     ra, rb, rs = _exact_rank(ia), _exact_rank(ib), _exact_rank(ia + ib)
     return SpanComparison(ra == rb == rs, ra, rb, rs)
+
+
+@lru_cache(maxsize=None)
+def _laplacian_matrix(n: int, d: int) -> np.ndarray:
+    """The Laplacian from degree-d to degree-(d-2) monomials as a read-only
+    (dim P_d^hom, dim P_{d-2}^hom) matrix of nonnegative integers, both in
+    the order of ``multi_indices``."""
+    col = {e: i for i, e in enumerate(multi_indices(n, d - 2))}
+    rows = multi_indices(n, d)
+    lap = np.zeros((len(rows), len(col)))
+    for i, e in enumerate(rows):
+        for key, c in _laplacian({e: 1}).items():
+            lap[i, col[key]] = c
+    lap.flags.writeable = False
+    return lap
+
+
+def _heat_normal(span: PolySpan) -> bool:
+    """True iff every row is an integer row equal to e^{-Delta/4} of its
+    degree-m block r_m: the blocks at odd degree offsets are 0, and
+    4^j j! r_{m-2j} = (-1)^j Delta^j r_m.  All rows go through each
+    Laplacian at once in float64; |r_m| Delta^j bounds every partial sum,
+    so below 2^53 each product is exact, and past it this raises."""
+    n, m, mat = span.n, span.m, span.matrix
+    if np.any(mat % 1):  # also true at inf and nan
+        return False
+    start = [math.comb(n - 1 + d, n) for d in range(m + 2)]  # first column of each degree
+    if any(mat[:, start[d] : start[d + 1]].any() for d in range(m - 1, -1, -2)):
+        return False
+    term = mat[:, start[m] :]
+    size = np.abs(term)
+    for j in range(1, m // 2 + 1):
+        lap = _laplacian_matrix(n, m - 2 * j + 2)
+        size = size @ lap
+        if size.max() >= 2**53:
+            raise ResourceLimitError("a span generator is beyond 2^53 for the exact heat normal form check")
+        term = term @ lap
+        block = mat[:, start[m - 2 * j] : start[m - 2 * j + 1]]
+        # an integer side at or past 2^53 can round, but not onto one below it
+        if not np.array_equal(4**j * math.factorial(j) * block, (-1) ** j * term):
+            return False
+    return True
+
+
+def heat_certificate(a: PolySpan, b: PolySpan) -> SpanComparison:
+    """Exact certificate that both spans are e^{-Delta/4} P_m^hom, hence
+    equal: every row of each is in heat normal form, and each degree-m
+    block has full rank dim P_m^hom.  The ranks are those of the degree-m
+    blocks over Q, which are the spans' ranks in heat normal form; the
+    stacked one takes a third elimination only below full rank."""
+    if (a.n, a.m, a.monomials) != (b.n, b.m, b.monomials):
+        raise ValueError("spans must share dimension, degree, and monomial order")
+    dim = math.comb(a.n - 1 + a.m, a.n - 1)
+    heat = _heat_normal(a) and _heat_normal(b)
+    ta, tb = (_integer_rows(s.matrix[:, -dim:]) for s in (a, b))
+    ra, rb = _exact_rank(ta), _exact_rank(tb)
+    rs = dim if ra == rb == dim else _exact_rank(ta + tb)
+    return SpanComparison(heat and ra == rb == rs == dim, ra, rb, rs)
 
 
 def dimension_identity(n: int, m: int) -> tuple[int, int]:

@@ -216,13 +216,21 @@ def sphere_rule(n: int, degree: int) -> QuadratureRule:
 
 
 def tensor_rule(line: QuadratureRule, n: int) -> QuadratureRule:
-    """n-fold product of a gauss_hermite line rule; N^n nodes, capped at 1e7."""
+    """n-fold product of a gauss_hermite line rule; N^n nodes, capped at 1e7.
+    Memoized on (N, n), so every caller shares one rule and its read-only
+    arrays."""
     if line.domain_tag != "gauss_hermite_line":
         raise ContractViolationError("tensor_rule requires a gauss_hermite line rule")
+    return _tensor_rule(len(line.nodes), n)
+
+
+@lru_cache(maxsize=None)
+def _tensor_rule(size: int, n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError("tensor dimension must be >= 1")
-    total = len(line.nodes) ** n
+    total = size**n
     _check_size("tensor_rule", total, _TENSOR_CAP)
+    line = gauss_hermite(size)
     grids = np.meshgrid(*([line.nodes] * n), indexing="ij")
     nodes = np.column_stack([g.ravel() for g in grids])
     wgrids = np.meshgrid(*([line.weights] * n), indexing="ij")

@@ -101,7 +101,7 @@ def check_kernel_equality(n, m_max, seed, tol) -> CheckRow:
 def check_spans(n, m_max, tol) -> CheckRow:
     cap = min(m_max, 8)
     pairs = ((ps.hermite_span(n, m), ps.laguerre_harmonic_span(n, m)) for m in range(cap + 1))
-    equal = all(ps.spans_equal(a, b).equal for a, b in pairs)
+    equal = all(ps.heat_certificate(a, b).equal for a, b in pairs)
     return _row("eq", f"polynomial-span coincidence, m<={cap}", n, 0.0 if equal else math.inf, tol)
 
 

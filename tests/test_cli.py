@@ -459,6 +459,24 @@ def test_dims_rows_and_span_columns(capsys):
     assert int(rows[4]["dim_poly"]) == 15
 
 
+def test_dims_spans_planted_failure_exits_1(monkeypatch, capsys):
+    import oscspectra.cli as cli_module
+    from oscspectra.polyspaces import PolySpan, laguerre_harmonic_span
+
+    def planted(n, m):
+        span = laguerre_harmonic_span(n, m)
+        if m != 4:
+            return span
+        matrix = span.matrix.copy()
+        matrix[0, -1] += 1.0
+        return PolySpan(n, m, span.monomials, matrix, span.labels)
+
+    monkeypatch.setattr(cli_module, "laguerre_harmonic_span", planted)
+    code, out, _ = run_cli(["dims", "--n", "2", "--m-max", "6", "--spans"], capsys)
+    assert code == 1
+    assert [r["spans_equal"] for r in parse_csv(out)] == ["1", "1", "1", "1", "0", "1", "1"]
+
+
 def test_dims_spans_beyond_cap_exits_3(capsys):
     code, out, err = run_cli(["dims", "--n", "4", "--m-max", "2", "--spans"], capsys)
     assert code == 3

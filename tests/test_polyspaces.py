@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import oscspectra.polyspaces as ps
 from oscspectra.errors import ResourceLimitError
 from oscspectra.harmonics import dim_harmonic, sph_table
 from oscspectra.polyspaces import (
@@ -13,12 +14,14 @@ from oscspectra.polyspaces import (
     _harmonic_basis,
     _primitive_row,
     dimension_identity,
+    heat_certificate,
     hermite_span,
     laguerre_harmonic_span,
     monomials,
     solid_harmonic_poly,
     spans_equal,
 )
+from oscspectra.verify import DEFAULT_TOLERANCES, check_spans
 
 from _oracles import hermite_phys, laguerre_series
 
@@ -107,6 +110,7 @@ def test_spans_coincide(n):
         result = spans_equal(a, b, 1e-10)
         assert result.equal, (n, m, result)
         assert result.rank_a == math.comb(n - 1 + m, n - 1)
+        assert heat_certificate(a, b) == result
 
 
 def test_spans_detect_planted_discrepancy():
@@ -137,6 +141,83 @@ def test_spans_detect_planted_perturbation(rel):
     result = spans_equal(a, PolySpan(n, m, b.monomials, planted, b.labels), 1e-10)
     assert not result.equal
     assert (result.rank_a, result.rank_b, result.rank_stacked) == (28, 28, 29)
+    assert not heat_certificate(a, PolySpan(n, m, b.monomials, planted, b.labels)).equal
+
+
+@pytest.mark.parametrize("rel", (1e-6, 1e-9, 1e-12, None))
+def test_heat_certificate_detects_perturbed_lower_hermite_coefficient(rel):
+    # the x1^4 coefficient of H_(6,0,0) moves by a relative amount, or by
+    # exactly 1 (None), which keeps the row integer: the degree-6 block
+    # stays full rank, so the heat normal form alone must see it
+    n, m = 3, 6
+    a = hermite_span(n, m)
+    b = laguerre_harmonic_span(n, m)
+    planted = a.matrix.copy()
+    planted[0, a.monomials.index((4, 0, 0))] += 1.0 if rel is None else rel * np.abs(planted[0]).max()
+    bad = PolySpan(n, m, a.monomials, planted, a.labels)
+    assert not spans_equal(bad, b).equal
+    result = heat_certificate(bad, b)
+    assert not result.equal
+    assert (result.rank_a, result.rank_b, result.rank_stacked) == (28, 28, 28)
+
+
+@pytest.fixture
+def fresh_spans():
+    # the span builders are memoized: plants must build their own spans,
+    # and leave none behind
+    for build in (hermite_span, laguerre_harmonic_span):
+        build.cache_clear()
+    yield
+    for build in (hermite_span, laguerre_harmonic_span):
+        build.cache_clear()
+
+
+def _assert_plant_fails(n):
+    assert not check_spans(n, 8, DEFAULT_TOLERANCES["eq_spans"]).passed
+    for m in range(9):
+        a, b = hermite_span(n, m), laguerre_harmonic_span(n, m)
+        assert heat_certificate(a, b).equal == spans_equal(a, b).equal == (m < 2), m
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_span_row_fails_on_wrong_laguerre_order(n, monkeypatch, fresh_spans):
+    # L_k^{beta + 1/2} in place of L_k^beta; the two agree only at k = 0
+    coeffs = ps._laguerre_coeffs_frac
+    monkeypatch.setattr(ps, "_laguerre_coeffs_frac", lambda k, beta: coeffs(k, beta + Fraction(1, 2)))
+    _assert_plant_fails(n)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_span_row_fails_on_non_harmonic_basis_element(n, monkeypatch, fresh_spans):
+    # x1^s in place of the first harmonic of each degree s >= 2
+    basis = ps._harmonic_basis
+
+    def planted(n, s):
+        x1 = (((s,) + (0,) * (n - 1), Fraction(1)),)
+        return (x1,) + basis(n, s)[1:] if s >= 2 else basis(n, s)
+
+    monkeypatch.setattr(ps, "_harmonic_basis", planted)
+    _assert_plant_fails(n)
+
+
+def test_heat_certificate_refuses_rows_past_2_53():
+    # |top| Delta reaches 2 * 2^52 = 2^53 at H_(2,0) * 2^50; one power less passes
+    a = hermite_span(2, 2)
+    assert heat_certificate(PolySpan(2, 2, a.monomials, a.matrix * 2.0**49, a.labels), a).equal
+    with pytest.raises(ResourceLimitError):
+        heat_certificate(PolySpan(2, 2, a.monomials, a.matrix * 2.0**50, a.labels), a)
+
+
+def test_span_row_ranks_only_square_top_blocks(monkeypatch):
+    # two eliminations per degree, on the dim P_m^hom square degree-m
+    # blocks; spans_equal took three per degree on all of P_m (at m = 8:
+    # 45 x 165, 45 x 165 and 90 x 165)
+    shapes, rank = [], ps._exact_rank
+    monkeypatch.setattr(ps, "_exact_rank", lambda rows: shapes.append((len(rows), len(rows[0]))) or rank(rows))
+    assert check_spans(3, 8, DEFAULT_TOLERANCES["eq_spans"]).passed
+    dims = [math.comb(m + 2, 2) for m in range(9)]
+    assert shapes == [(d, d) for d in dims for _ in range(2)]
+    assert sum(r * c for r, c in shapes) <= 2 * sum(d * d for d in dims)
 
 
 def _laplacian_oracle(poly):

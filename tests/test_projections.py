@@ -37,7 +37,7 @@ from oscspectra.projections import (
     project,
     rotation_commutes,
 )
-from oscspectra.quadrature import QuadratureRule, gauss_hermite, gauss_radial, tensor_rule
+from oscspectra.quadrature import QuadratureRule, _tensor_rule, gauss_hermite, gauss_radial, tensor_rule
 from oscspectra.special_functions import hermite_fn_multi
 from oscspectra.verify import DEFAULT_TOLERANCES, check_hecke, check_oone, check_rotation, run_suite
 
@@ -371,7 +371,9 @@ def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_onc
         return call(field, points)
 
     def record_factorization(*args):
-        # Hermite extraction builds tensor grids too: count only this check's
+        # Hermite extraction builds tensor grids too: count only this check's,
+        # from a cold tensor-rule memo, since an earlier check may share its key
+        _tensor_rule.cache_clear()
         inside[0] = True
         try:
             return factorization(*args)
@@ -398,13 +400,13 @@ def test_suite_builds_one_radial_rule_and_evaluates_each_factorization_field_onc
         assert len(grids) == 1 and len(grid_calls) == 2 * degrees
 
 
-@pytest.mark.parametrize("n, bound", ((1, 8_800), (2, 66_000), (3, 125_000)))
+@pytest.mark.parametrize("n, bound", ((1, 7_560), (2, 57_330), (3, 118_500)))
 def test_suite_field_evaluation_points(n, bound, monkeypatch):
     # run_suite(n, 8) evaluates fields at 6,873 / 52,115 / 107,721 points
     # for n = 1 / 2 / 3 on rules sized from each field's degree; the bounds
-    # allow 10% on top of the 8,024 / 60,116 / 113,565 they were set at (the
-    # fixed 64-node line, 80-node radial and degree 2m + 14 sphere rules
-    # took 9,264 / 224,680 / 3,030,424)
+    # allow 10% on top of those counts (the fixed 64-node line, 80-node
+    # radial and degree 2m + 14 sphere rules took 9,264 / 224,680 /
+    # 3,030,424)
     count = [0]
     call = ScalarField.__call__
 
@@ -417,14 +419,14 @@ def test_suite_field_evaluation_points(n, bound, monkeypatch):
     assert count[0] <= bound
 
 
-@pytest.mark.parametrize("n, call_bound, sweep_bound", ((1, 48, 66), (2, 101, 160), (3, 99, 157)))
+@pytest.mark.parametrize("n, call_bound, sweep_bound", ((1, 48, 59), (2, 101, 115), (3, 99, 114)))
 def test_suite_field_calls_and_sweeps(n, call_bound, sweep_bound, monkeypatch):
     # a cold run_suite(n, 8) makes 44 / 92 / 90 field calls and 54 / 105 / 104
-    # sph_table sweeps for n = 1 / 2 / 3, with each multi-level check
-    # evaluating once per point set; the bounds allow about 10% on top of the
-    # 44 / 92 / 90 calls and 60 / 145 / 143 sweeps they were set at (one
-    # projection evaluation per level and one field evaluation per FD step
-    # took 97 / 357 / 355 calls and 110 / 403 / 401 sweeps)
+    # sph_table sweeps for n = 1 / 2 / 3 (a warm one 45 / 96 / 96 sweeps),
+    # with each multi-level check evaluating once per point set; the bounds
+    # allow about 10% on top of the cold counts (one projection evaluation
+    # per level and one field evaluation per FD step took 97 / 357 / 355
+    # calls and 110 / 403 / 401 sweeps)
     import oscspectra.fields as fields_module
     import oscspectra.harmonics as harmonics_module
     import oscspectra.projections as projections_module

@@ -29,8 +29,9 @@ from oscspectra.special_functions import hermite_fn_multi, hermite_table, laguer
         (gauss_radial, (20, 0.5)),
         (sphere_rule, (3, 6)),
         (default_radial_rules, (3, 1.0)),
+        (tensor_rule, (gauss_hermite(12), 3)),
     ],
-    ids=["hermite", "radial", "sphere", "compact"],
+    ids=["hermite", "radial", "sphere", "compact", "tensor"],
 )
 def test_rule_builders_are_memoized_and_read_only(build, args):
     rule = build(*args)
@@ -243,8 +244,11 @@ def test_tensor_rule_size_cap():
 
 def test_tensor_rule_requires_hermite_line():
     rule = sphere_rule(2, 4)
+    before = quadrature._tensor_rule.cache_info()
     with pytest.raises(ContractViolationError):
         tensor_rule(rule, 2)
+    # refused before the memo is consulted
+    assert quadrature._tensor_rule.cache_info() == before
 
 
 def test_polar_factorization_at_quadrature_level():
