@@ -91,16 +91,14 @@ def _parse_tolerances(pairs, parser):
     return overrides
 
 
-def _int_at_least(low, high=None):
-    """argparse type for an integer option in [low, high] (high optional);
-    a value outside is a usage error (exit 2), never a traceback."""
+def _int_at_least(low):
+    """argparse type for an integer option >= low; a value below is a usage
+    error (exit 2), never a traceback."""
 
     def parse(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high} for this command, got {value}")
         return value
 
     return parse
@@ -383,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=_int_at_least(1), default=10)
 
     p = sub.add_parser("project", parents=[common], help="project a catalog field or gridded samples")
-    p.add_argument("--n", type=_int_at_least(1, 3), required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m", type=_int_at_least(0), default=None, help="projection level (default: the field's natural level)")
     p.add_argument("--field", help="catalog id, e.g. gauss | bump | hermite:gamma=(1,1) | hecke:M=2,K=1,f0=gauss")
     p.add_argument("--grid-file", help="CSV with header x1,..,xn,value")
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-span", choices=["hermite", "laguerre"])
 
     p = sub.add_parser("decay", parents=[common], help="coefficient-decay probe for a catalog field")
-    p.add_argument("--n", type=_int_at_least(1, 3), required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--levels", type=_int_at_least(0), default=None)
     p.add_argument("--field", default="bump")
     return parser

@@ -1,6 +1,10 @@
-"""Spherical-harmonic layer: dimensions d_s, zonal kernels for every n >= 1,
-and explicit orthonormal bases for n in {1, 2, 3}, evaluated as solid
-harmonics |x|^s Y_{s,j}(x') for every degree from one sweep.
+"""Spherical-harmonic layer: dimensions d_s, zonal kernels and real
+orthonormal bases for every n >= 1, evaluated as solid harmonics
+|x|^s Y_{s,j}(x') for every degree from one sweep.  The bases of n = 1 and
+n = 2 are explicit; every higher n is one Gelfand-Tsetlin chain step over
+the sweep one dimension down (Vilenkin, Special Functions and the Theory of
+Group Representations, ch. IX; Dai & Xu, Approximation Theory and Harmonic
+Analysis on Spheres and Balls, section 1.5).
 
 All bases are real-valued.  The n = 1 sphere is the two-point set {-1, +1}
 with counting measure; its only harmonic degrees are 0 and 1, and that case
@@ -16,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDegreeError, DimensionMismatchError
-from .special_functions import gegenbauer_table
+from .special_functions import _gegenbauer_b, _gegenbauer_p0, gegenbauer_table
 
 __all__ = [
     "SWEEP_BLOCK",
@@ -71,10 +75,7 @@ def zonal_table(n: int, s_max: int, t) -> np.ndarray:
         n = 2:  Z_0 = 1/(2 pi),  Z_s(t) = cos(s arccos t)/pi  (s >= 1);
         n >= 3: Z_s(t) = ((2s+n-2)/(n-2)) C_s^{(n-2)/2}(t) / omega_{n-1}.
     """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    if s_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {s_max}")
+    dim_harmonic(n, s_max)  # refuses n < 1 and s_max < 0
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("zonal argument must lie in [-1, 1]")
@@ -123,61 +124,88 @@ def sph_table(n: int, s_max: int, points):
     """Solid harmonics |x|^s Y_{s,j}(x') for s = 0..s_max from one sweep over
     the degree: yields (s, rows), rows of shape (d_s, npts) in sph_basis
     order, for every s with d_s > 0.  Only the last two degrees are held;
-    at n = 2, 3 the yielded rows are read-only, since the sweep reads them
+    at n >= 2 the yielded rows are read-only, since the sweep reads them
     again.  On the unit sphere the rows are the spherical harmonics.
 
     n=1: 2^{-1/2} at s=0 and 2^{-1/2} x at s=1 (counting measure).
-    n=3: with the fully normalized associated Legendre functions (no
-         Condon-Shortley sign), the rows are r^s Pbar_s^0(cos th), then
-         sqrt(2) r^s Pbar_s^m(cos th) times cos(m phi), sin(m phi) for
-         m = 1..s.  Each row of order m < s continues its row of degree s-1,
-         R_s = a (z R_{s-1} - b r^2 R_{s-2}) with a = sqrt((4s^2-1)/(s^2-m^2))
-         and b = sqrt(((s-1)^2-m^2)/(4(s-1)^2-1)); the two rows of order s
-         rotate the last two rows of degree s-1 by (x, y), (C, S) ->
-         d (x C - y S, y C + x S), d = sqrt((2s+1)/(2s)), times sqrt(2) at
-         s = 1.
-    n=2: only the rotation, with d = 1 (sqrt(2) at s = 1), from
-         (2 pi)^{-1/2}: the rows are Re and Im of (x + iy)^s / sqrt(pi).
+    n=2: Re and Im of (x + iy)^s / sqrt(pi) (s >= 1) after (2 pi)^{-1/2},
+         each degree a rotation of the last by (x, y), (C, S) ->
+         d (x C - y S, y C + x S), d = sqrt(2) at s = 1, else 1.
+    n>=3: the Gelfand-Tsetlin chain (_chain) over the sweep of
+         x' = (x_1, .., x_{n-1}); at n = 3 the rows are the normalized
+         associated-Legendre harmonics, order m = 0, then cos and sin of
+         m phi for m = 1..s (no Condon-Shortley sign).
     Every row is a polynomial in the coordinates, so no angle is formed,
     nothing is divided by |x|, and the origin is exact.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"explicit bases exist for n <= 3 only, got n={n}")
-    if s_max < 0:
-        raise ValueError(f"degree must be nonnegative, got {s_max}")
-    pts, _ = _as_points(points, n)
+    dim_harmonic(n, s_max)  # refuses n < 1 and s_max < 0
+    return _sweep(n, s_max, _as_points(points, n)[0])
+
+
+def _sweep(n: int, s_max: int, pts):
+    """The generator behind sph_table: the bases at n = 1, 2, and for every
+    higher n one chain step over this sweep one dimension down."""
     npts = len(pts)
     if n == 1:
         yield 0, np.full((1, npts), math.sqrt(0.5))
         if s_max >= 1:
             yield 1, math.sqrt(0.5) * pts.T
         return
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, -1]
-    r2 = np.einsum("pi,pi->p", pts, pts)
-    older = np.empty((0, npts))
-    prev = np.full((1, npts), 1.0 / math.sqrt(2.0 * math.pi if n == 2 else 4.0 * math.pi))
-    prev.flags.writeable = False
-    yield 0, prev
-    for s in range(1, s_max + 1):
-        d = math.sqrt(2.0) if s == 1 else 1.0
-        if n == 3:
-            m = (np.arange(2 * s - 1.0)[:, None] + 1.0) // 2.0  # order of each row
-            # b r^2 R_{s-2} replaces R_{s-2} before degree s is allocated, so
-            # no more than two degrees and this term are alive at once
-            older = older * r2
-            older *= np.sqrt(((s - 1.0) ** 2 - m[: len(older)] ** 2) / (4.0 * (s - 1.0) ** 2 - 1.0))
-            cur = np.empty((2 * s + 1, npts))
-            np.multiply(z, prev, out=cur[:-2])
-            cur[: len(older)] -= older
-            cur[:-2] *= np.sqrt((4.0 * s * s - 1.0) / (s * s - m * m))
-            d *= math.sqrt((2.0 * s + 1.0) / (2.0 * s))
-        else:
+    if n == 2:
+        x, y = pts[:, 0], pts[:, 1]
+        prev = np.full((1, npts), 1.0 / math.sqrt(2.0 * math.pi))
+        prev.flags.writeable = False
+        yield 0, prev
+        for s in range(1, s_max + 1):
+            d, (c, sn) = (math.sqrt(2.0), (prev[0], 0.0)) if s == 1 else (1.0, prev)
             cur = np.empty((2, npts))
-        c, sn = (prev[0], 0.0) if s == 1 else (prev[-2], prev[-1])
-        cur[-2] = d * (x * c - y * sn)
-        cur[-1] = d * (y * c + x * sn)
+            cur[0] = d * (x * c - y * sn)
+            cur[1] = d * (y * c + x * sn)
+            cur.flags.writeable = False
+            prev = cur
+            yield s, cur
+        return
+    yield from _chain(n, pts[:, -1], np.einsum("pi,pi->p", pts, pts), _sweep(n - 1, s_max, pts[:, :-1]))
+
+
+@lru_cache(maxsize=None)
+def _chain_coefficients(n: int, s: int):
+    """The coefficients of degree s of the chain step into R^n: b_j of
+    every row of degree s-1 (j = s - l, lam = l + n/2 - 1, with l of each
+    row fixed by the dimensions one level down), as a column, and p_0 of
+    lam = s + n/2 - 1."""
+    ell = np.repeat(np.arange(s, dtype=float), [dim_harmonic(n - 1, l) for l in range(s)])
+    return _gegenbauer_b(s - ell, ell + n / 2.0 - 1.0)[:, None], _gegenbauer_p0(s + n / 2.0 - 1.0)
+
+
+def _chain(n: int, z, r2, lower):
+    """One Gelfand-Tsetlin step, R^{n-1} -> R^n, n >= 3: yields (s, rows) for
+    each degree s of the (s, rows) sweep ``lower`` of degree-l solid
+    harmonics h(x') in x' = (x_1, .., x_{n-1}), the last coordinate z and
+    r2 = |x|^2.
+
+    Row Q_{s-l}(x) h(x') of degree s, with lam = l + n/2 - 1 and p_j the
+    orthonormal Gegenbauer polynomials of lam, is Q_j(x) = |x|^j p_j(z/|x|)
+    times h.  They are an orthonormal basis of the degree-s harmonics on
+    the sphere, ordered by l, then by the rows of h: the rows of degree s-1
+    continue by Q_{j+1} = (z Q_j - b_j r2 Q_{j-1}) / b_{j+1}, and the
+    degree-s rows of ``lower`` enter times p_0 (j = 0).
+    """
+    older = prev = b_old = np.empty((0, len(z)))
+    for s, rows in lower:
+        b_new, p0 = _chain_coefficients(n, s)
+        # b_j r2 Q_{j-1} replaces Q_{j-1} before degree s is allocated, so
+        # no more than two degrees and this term are alive at once; b_j of
+        # the rows of degree s-2 is their b_{j+1} of the step before
+        older = older * r2
+        older *= b_old
+        cur = np.empty((len(prev) + len(rows), len(z)))
+        np.multiply(z, prev, out=cur[: len(prev)])
+        cur[: len(older)] -= older
+        cur[: len(prev)] /= b_new
+        np.multiply(rows, p0, out=cur[len(prev) :])
         cur.flags.writeable = False
-        older, prev = prev, cur
+        older, prev, b_old = prev, cur, b_new
         yield s, cur
 
 
@@ -232,13 +260,9 @@ class HarmonicBasis:
 
 @lru_cache(maxsize=None)
 def sph_basis(n: int, s: int) -> HarmonicBasis:
-    """Explicit real orthonormal basis of the degree-s harmonics, n <= 3, with
-    the rows of sph_table (n=3: normalized associated-Legendre harmonics
-    ordered m=0, then (m, cos), (m, sin) for m = 1..s)."""
-    if s < 0:
-        raise ValueError(f"degree must be nonnegative, got {s}")
-    if n not in (1, 2, 3):
-        raise ValueError(f"explicit bases exist for n <= 3 only, got n={n}")
+    """Real orthonormal basis of the degree-s harmonics in R^n, with the rows
+    of sph_table (n=3: normalized associated-Legendre harmonics ordered
+    m=0, then (m, cos), (m, sin) for m = 1..s)."""
     if not dim_harmonic(n, s):
         raise DegenerateDegreeError(f"n=1 has no harmonics of degree {s}")
     return HarmonicBasis(n, s, dim_harmonic(n, s))

@@ -4,7 +4,9 @@ defects, and the coefficient-decay probe for compactly supported fields.
 
 Functions enter as pure point-evaluators (ScalarField); nothing is gridded.
 Hermite coefficients come from a tensor Gauss rule, polar ones from the
-polar factorization, with one radial rule order for every harmonic degree.
+polar factorization at every n, with one radial rule order for every
+harmonic degree and the sphere contracted along the same recursion in n
+that builds the harmonic basis and the sphere rule.
 Every rule is sized from the field's declared band and degree, so it
 integrates a declared field exactly with the fewest nodes.
 """
@@ -22,10 +24,11 @@ import numpy as np
 
 from .errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
-from .harmonics import SWEEP_BLOCK, SolidHarmonic, sph_table
+from .harmonics import SWEEP_BLOCK, SolidHarmonic, _chain, dim_harmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
     _polar_grid,
+    _polar_sphere,
     _TENSOR_CAP,
     LINE_N,
     RADIAL_N,
@@ -209,14 +212,16 @@ def default_radial_rules(
 
 class _ExtractionOperator(NamedTuple):
     """Everything of polar extraction but the field values, for one pair of
-    rules: the weighted azimuth table, transposed, and per degree s the
-    first azimuth column its rows read, the meridian rows times the z
-    weights and the radial rows ell_k * w * r^s.  Every array is read-only."""
+    rules: the weighted harmonic rows of every degree at the nodes of the
+    base sphere rule (n = 1 or 2), stacked by degree; per chain level
+    3..n, per degree s, the (d_s, nz) factors of the level's z nodes; and
+    per degree s the radial rows ell_k * w * r^s.  Every array is read-only."""
 
     radial: QuadratureRule
     sphere: QuadratureRule
-    azimuth: np.ndarray  # (2 m_max + 1, nphi)
-    degrees: Tuple[Tuple[int, int, np.ndarray, np.ndarray], ...]  # (s, start, (d, nz), (kmax+1, nr))
+    base: np.ndarray  # (sum_s d_s, N) at the base sphere rule
+    levels: Tuple[Tuple[np.ndarray, ...], ...]  # per level, per degree (d_s, nz)
+    degrees: Tuple[Tuple[int, np.ndarray], ...]  # (s, (kmax+1, nr))
 
 
 def _frozen(a: np.ndarray, n: int, m_max: int, what: str) -> np.ndarray:
@@ -233,53 +238,51 @@ def _extraction_operator(
 ) -> _ExtractionOperator:
     """The polar extraction operator on sphere_rule(n, sphere_degree) and
     default_radial_rules(n, support_radius, radial_degree), built once per
-    key and shared by every field extracted on those rules.  A stage that
-    leaves float64 (r^s overflowing where ell_k has underflowed) raises
-    ResourceLimitError instead of handing out NaN coefficients."""
-    sphere = sphere_rule(n, sphere_degree)
+    key and shared by every field extracted on those rules.  The grid size
+    is checked before the sphere rule is built.  A stage that leaves float64
+    (r^s overflowing where ell_k has underflowed) raises ResourceLimitError
+    instead of handing out NaN coefficients.
+
+    A chain level's factor row for a harmonic Q_{s-l}(x) h(x') is
+    w_z Q_{s-l}(z) (1-z^2)^{l/2} at its z nodes: the chain step run on unit
+    points with (1-z^2)^{l/2} in place of the rows of h, since h(x') is
+    (1-z^2)^{l/2} times h at the unit node of the lower sphere."""
     radial = default_radial_rules(n, support_radius, radial_degree)
-    r, z, wz = radial.nodes, sphere.line.nodes, sphere.line.weights
-    nphi = len(sphere.nodes) // len(z)
-    # azimuth stage: column c holds order m = (c + 1) // 2, cos(m phi) at
-    # odd c and c = 0, sin(m phi) at even c > 0, times the azimuth weight
-    col = np.arange(2 * m_max + 1)
-    angle = np.outer(2.0 * math.pi * np.arange(nphi) / nphi, (col + 1) // 2)
-    table = np.where(col % 2 | (col == 0), np.cos(angle), np.sin(angle))
-    table *= sphere.weights[0] / wz[0]
-    degrees = []
-    for s, rows in sph_table(n, m_max, sphere.nodes[::nphi]):
-        # row j reads column start + j: rows (cos s, sin s) at n = 2, all
-        # orders up to s at n = 3, and n = 1 has one azimuth, so column 0
-        d = len(rows)
-        start = 0 if n == 1 else 2 * s + 1 - d
-        c = np.arange(start, start + d)
-        cos_row = c - start - ((c % 2 == 0) & (c > 0))  # a sin row is 0 here
+    sphere = _polar_sphere(radial, n, sphere_degree)
+    plane = sphere_rule(min(n, 2), sphere_degree)
+    base = np.concatenate([y for _s, y in sph_table(min(n, 2), m_max, plane.nodes)])
+    base = _frozen(base * plane.weights, n, m_max, "the base harmonic rows")
+    levels = []
+    for k in range(3, n + 1):
+        z, wz = sphere_rule(k, sphere_degree).line.nodes, sphere_rule(k, sphere_degree).line.weights
+        lower = ((s, np.broadcast_to((1.0 - z * z) ** (s / 2), (dim_harmonic(k - 1, s), len(z)))) for s in range(m_max + 1))
+        levels.append(tuple(_frozen(q * wz, n, m_max, f"the level-{k} factors") for _s, q in _chain(k, z, 1.0, lower)))
+    r, degrees = radial.nodes, []
+    for s in filter(partial(dim_harmonic, n), range(m_max + 1)):
         ell = laguerre_fn_table((m_max - s) // 2, n / 2.0 - 1.0 + s, r)
         with np.errstate(over="ignore", invalid="ignore"):
             rad = ell * (radial.weights * r**s)
-        meridian = _frozen(rows[cos_row] * wz, n, m_max, f"the meridian rows of degree s={s}")
-        degrees.append((s, start, meridian, _frozen(rad, n, m_max, f"the radial rows of degree s={s}")))
-    azimuth = _frozen(table.T, n, m_max, "the azimuth cos/sin values")
-    return _ExtractionOperator(radial, sphere, azimuth, tuple(degrees))
+        degrees.append((s, _frozen(rad, n, m_max, f"the radial rows of degree s={s}")))
+    return _ExtractionOperator(radial, sphere, base, tuple(levels), tuple(degrees))
 
 
 def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     """All <f, phi_{k,s,j}> with s + 2k <= m_max.
 
     f is evaluated once, on the radial x sphere grid of one radial rule.
-    The sphere rule is a z rule times nphi uniform azimuths, and each
-    Y_{s,j} is its value at the meridian point (sqrt(1-z^2), 0, .., z)
-    times cos(m phi) or sin(m phi).  So F_{s,j}(r) = <f(r .), Y_{s,j}>
-    takes two stages: one matrix product of the field values against cos
-    and sin of every order m <= m_max over the azimuths, then, per degree,
-    one batched matvec over the z nodes against the sph_table rows at the
-    meridian points (a sin row is 0 there and takes its cos twin's
-    value), each row against its own azimuth column.  F is then paired with
-    ell_k^{n/2-1+s} radially; the r^{+s} factor of phi_{k,s,j} is folded
-    into the radial weight, so no division by a small radius ever happens.
-    Everything but the field values depends only on the two rules, so it
-    is one memoized read-only operator (_extraction_operator): a call is
-    one field evaluation, the azimuth product and two products per degree.
+    F_{s,j}(r) = <f(r .), Y_{s,j}> follows the sphere rule's recursion in
+    n.  One matrix product of the field values against the weighted rows of
+    every degree at the base nodes (n <= 2) gives the inner products on the
+    base sphere.  Each chain level k = 3..n then contracts its z nodes: the
+    degree-s harmonics of R^k are the rows Q_{s-l}(x) h(x') over l <= s, so
+    their inner products are the first d_s rows of the level below, each
+    against its factor row, one batched matvec per degree.  F is then paired
+    with ell_k^{n/2-1+s} radially; the r^{+s} factor of phi_{k,s,j} is
+    folded into the radial weight, so no division by a small radius ever
+    happens.  Everything but the field values depends only on the two
+    rules, so it is one memoized read-only operator (_extraction_operator):
+    a call is one field evaluation, one product per level and degree, and
+    one radial product per degree.
 
     Rules are sized from the field's declarations.  The sphere degree is
     f.band + m_max, so f integrates exactly against every Y_{s,j} with
@@ -287,24 +290,25 @@ def polar_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     f of degree D, f phi_{k,s,j} is a polynomial of degree at most D + m_max
     times e^{-|x|^2}, which the radial rule for that degree integrates
     exactly (see default_radial_rules).  Past float64 range (r^s
-    overflowing, from m_max of about 260 at n = 2, 3) it raises
-    ResourceLimitError.
+    overflowing, from m_max of about 260 at n = 2, 3) or a grid of more
+    than 1e7 points it raises ResourceLimitError.
     """
     n = f.n
-    if n > 3:
-        raise ValueError("polar coefficient extraction needs an explicit basis (n <= 3)")
     degree = 2 * m_max + 2 + _SPHERE_BAND_MARGIN if f.band is None else f.band + m_max
     radial_degree = None if f.degree is None else f.degree + m_max
     op = _extraction_operator(n, m_max, degree, f.support_radius, radial_degree)
-    nr, nz = len(op.radial.nodes), len(op.sphere.line.nodes)
     fv = f(_polar_grid(op.radial, op.sphere))
-    az = (op.azimuth @ fv.reshape(-1, op.azimuth.shape[1]).T).reshape(-1, nr, nz)
-    # meridian stage, per degree: one batched matvec over z of each row's
-    # azimuth column against the row at the meridian points
-    matrices: Dict[int, np.ndarray] = {}
-    for s, start, meridian, rad in op.degrees:
-        fsj = np.matmul(az[start : start + len(meridian)], meridian[:, :, None])[:, :, 0]
-        matrices[s] = rad @ fsj.T  # (kmax+1, d_s)
+    g = op.base @ fv.reshape(-1, op.base.shape[1]).T
+    # each level contracts the innermost remaining z axis of the grid, each
+    # degree's batched matvec writing its rows of one preallocated output
+    for factors in op.levels:
+        g = g.reshape(len(g), -1, factors[0].shape[1])
+        out = np.empty((sum(map(len, factors)), g.shape[1], 1))
+        for q, stop in zip(factors, np.cumsum([len(q) for q in factors])):
+            np.matmul(g[: len(q)], q[:, :, None], out=out[stop - len(q) : stop])
+        g = out[:, :, 0]
+    rows = np.split(g, np.cumsum([dim_harmonic(n, s) for s, _ in op.degrees[:-1]]))
+    matrices = {s: rad @ y.T for (s, rad), y in zip(op.degrees, rows)}  # (kmax+1, d_s)
     return SpectralCoefficients(n, "polar", m_max, matrices=matrices)
 
 
@@ -442,8 +446,8 @@ def field_norm_sq(f: ScalarField) -> float:
     field that declares its band and degree: f^2 has band 2 band(f) on
     spheres and degree 2 deg(f)."""
     n = f.n
-    sphere = sphere_rule(n, _NORM_SPHERE_DEGREE if f.band is None else 2 * f.band)
     radial = default_radial_rules(n, f.support_radius, None if f.degree is None else 2 * f.degree)
+    sphere = _polar_sphere(radial, n, _NORM_SPHERE_DEGREE if f.band is None else 2 * f.band)
     vals = f(_polar_grid(radial, sphere)).reshape(len(radial.nodes), len(sphere.nodes))
     return float(radial.weights @ ((vals * vals) @ sphere.weights))
 

@@ -1,6 +1,8 @@
 """Gauss-type quadrature rules for every integral the identity suites need:
 a Gaussian-weight line rule, generalized radial rules for r^{2 beta + 1} dr
-integrals, sphere rules for n in {1, 2, 3}, and tensor assembly on R^n.
+integrals, sphere rules for every n (a Gauss-Gegenbauer rule in the last
+coordinate times the sphere rule one dimension down), and tensor assembly
+on R^n.
 
 Convention: integrands are supplied with their Gaussian factor included and
 the rules divide the weight function out, so applying a rule to a raw
@@ -23,9 +25,9 @@ import numpy as np
 
 from .errors import ContractViolationError, ResourceLimitError
 from .special_functions import (
+    _gegenbauer_family,
     _hermite_family,
     _laguerre_family,
-    _legendre_family,
     _orthonormal_table,
 )
 
@@ -158,7 +160,7 @@ def gauss_radial(n: int, beta: float) -> QuadratureRule:
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1] (weight function 1)."""
     _check_size("gauss_legendre", n, _LINE_CAP)
-    return _golub_welsch(*_legendre_family(n))
+    return _golub_welsch(*_gegenbauer_family(n, 0.5))
 
 
 def radial_rule_compact(n: int, radius: float, panels: int = 4) -> QuadratureRule:
@@ -179,40 +181,42 @@ def radial_rule_compact(n: int, radius: float, panels: int = 4) -> QuadratureRul
     return QuadratureRule(nodes, weights, f"radial_compact(R={radius:g})", 2 * n - 1)
 
 
+def _sphere_size(n: int, degree: int) -> int:
+    """Node count of sphere_rule(n, degree), known before it is built."""
+    return 2 if n == 1 else (degree + 1) * (degree // 2 + 1) ** (n - 2)
+
+
 @lru_cache(maxsize=None)
 def sphere_rule(n: int, degree: int) -> QuadratureRule:
-    """Quadrature on the unit sphere in R^n, n <= 3, against surface
-    measure, exact for spherical polynomials of degree <= ``degree``.
+    """Quadrature on the unit sphere in R^n against surface measure, exact
+    for spherical polynomials of degree <= ``degree``.
 
-    One product for every n: a rule in the last coordinate z, kept in
-    ``line`` (Gauss-Legendre at n=3, {-1, +1} at n=1, the single node z=0
-    at n=2), times nphi = degree + 1 uniform azimuths phi_i = 2 pi i / nphi
-    (nphi=1 at n=1).  Node iz * nphi + i is the meridian point
-    (sqrt(1-z^2), 0, .., z) of line node iz turned through phi_i in the
-    first two coordinates, and its weight is the line weight times the
-    uniform azimuth weight.  More than 1e7 nodes is a resource-cap error.
+    The bases are the two points {-1, +1} at n = 1 and nphi = degree + 1
+    uniform azimuths (cos phi_i, sin phi_i), phi_i = 2 pi i / nphi, at n = 2.
+    For n >= 3, dsigma_n = (1-z^2)^{(n-3)/2} dz dsigma_{n-1} with z the last
+    coordinate: the rule is the nz = degree // 2 + 1 point Gauss-Gegenbauer
+    rule of lam = (n-2)/2 in z, kept in ``line``, times sphere_rule(n-1,
+    degree) scaled by sqrt(1-z^2).  Node iz * N + i is node i of the lower
+    rule (N nodes) so scaled, with z_iz appended, and its weight is the
+    product of the two weights.  More than 1e7 nodes is a resource-cap
+    error, raised before any node is built.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if n not in (1, 2, 3):
-        raise ValueError(f"sphere_rule supports n in {{1, 2, 3}}, got n={n}")
-    nphi = 1 if n == 1 else degree + 1
-    nz = (degree + 2) // 2 if n == 3 else 3 - n  # z in {-1, +1} at n = 1, {0} at n = 2
-    _check_size("sphere_rule", nz * nphi, _TENSOR_CAP)
-    exact = max(degree, 1) if n == 1 else degree
-    if n == 3:
-        line = QuadratureRule(*gauss_legendre(nz), "gauss_legendre", 2 * nz - 1)
-    else:
-        z = np.array([-1.0, 1.0]) if n == 1 else np.zeros(1)
-        line = QuadratureRule(z, np.ones(nz), f"sphere({n}).z", exact)
-    z, wz = line.nodes, line.weights
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    rho = np.sqrt(1.0 - z * z)
-    # (x, y, z) at n = 3; the plane (x, y) at n = 2; the axis z at n = 1
-    coords = [np.outer(rho, np.cos(phi)).ravel(), np.outer(rho, np.sin(phi)).ravel(), np.repeat(z, nphi)]
-    nodes = np.column_stack(coords[:n] if n > 1 else coords[2:])
-    weights = np.repeat(wz * (2.0 * math.pi / nphi if n > 1 else 1.0), nphi)
-    return QuadratureRule(nodes, weights, f"sphere({n})", exact, line=line)
+    if n < 1 or degree < 0:
+        raise ValueError(f"sphere_rule needs n >= 1 and degree >= 0, got n={n}, degree={degree}")
+    _check_size("sphere_rule", _sphere_size(n, degree), _TENSOR_CAP)
+    if n == 1:
+        return QuadratureRule(np.array([[-1.0], [1.0]]), np.ones(2), "sphere(1)", max(degree, 1))
+    if n == 2:
+        phi = 2.0 * math.pi * np.arange(degree + 1) / (degree + 1)
+        weights = np.full(degree + 1, 2.0 * math.pi / (degree + 1))
+        return QuadratureRule(np.column_stack([np.cos(phi), np.sin(phi)]), weights, "sphere(2)", degree)
+    nz, lower = degree // 2 + 1, sphere_rule(n - 1, degree)
+    _check_size("gauss_gegenbauer", nz, _LINE_CAP)
+    line = QuadratureRule(*_golub_welsch(*_gegenbauer_family(nz, (n - 2) / 2.0)), f"gauss_gegenbauer({n})", 2 * nz - 1)
+    z = line.nodes[:, None, None]
+    scaled = np.sqrt(1.0 - z * z) * lower.nodes
+    nodes = np.concatenate([scaled, np.broadcast_to(z, scaled.shape[:2] + (1,))], axis=2)
+    return QuadratureRule(nodes.reshape(-1, n), np.outer(line.weights, lower.weights).ravel(), f"sphere({n})", degree, line=line)
 
 
 def tensor_rule(line: QuadratureRule, n: int) -> QuadratureRule:
@@ -240,8 +244,14 @@ def _tensor_rule(size: int, n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, f"tensor({n})", line.exactness_degree, line=line)
 
 
+def _polar_sphere(radial: QuadratureRule, n: int, degree: int) -> QuadratureRule:
+    """sphere_rule(n, degree) for a radial x sphere product with ``radial``,
+    refused before the sphere rule is built when the product grid would pass
+    1e7 points."""
+    _check_size("radial x sphere grid", len(radial.nodes) * _sphere_size(n, degree), _TENSOR_CAP)
+    return sphere_rule(n, degree)
+
+
 def _polar_grid(radial: QuadratureRule, sphere: QuadratureRule) -> np.ndarray:
-    """The (npts, n) points r_i omega_j of a radial x sphere product, radial-major."""
-    total = len(radial.nodes) * len(sphere.nodes)
-    _check_size("radial x sphere grid", total, _TENSOR_CAP)
-    return (radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(total, -1)
+    """The (npts, n) points r_i omega_j of a radial x _polar_sphere product, radial-major."""
+    return (radial.nodes[:, None, None] * sphere.nodes[None, :, :]).reshape(len(radial.nodes) * len(sphere.nodes), -1)

@@ -6,8 +6,9 @@ All evaluators are pure, vectorized over the argument, and run their
 three-term recurrences on the normalized functions directly, so no bare
 polynomial value or Gamma ratio is ever formed; this keeps k up to a few
 hundred inside double-precision range.  One generator runs the orthonormal
-Hermite, Laguerre and Legendre families, for these tables and for the Gauss
-rules of ``quadrature``.
+Hermite, Laguerre and Gegenbauer families, for these tables and for the
+Gauss rules of ``quadrature``; the Gegenbauer family, with Legendre as its
+lam = 1/2 case, also drives the harmonic chain of ``harmonics``.
 """
 
 from __future__ import annotations
@@ -66,10 +67,29 @@ def _laguerre_family(kmax: int, beta: float):
     return a, b, lambda t: np.exp(log_c0 - 0.5 * t)
 
 
-def _legendre_family(kmax: int):
-    """Orthonormal Legendre polynomials, w = 1 on [-1, 1]."""
-    b = [k / math.sqrt(4.0 * k * k - 1.0) for k in range(1, kmax + 1)]
-    return [0.0] * kmax, b, lambda x: np.full_like(x, 0.5**0.5)
+def _gegenbauer_b(k, lam):
+    """b_k of the orthonormal Gegenbauer family of parameter lam, elementwise
+    over arrays of k and lam (the harmonic chain takes one lam per row)."""
+    return np.sqrt(k * (k + 2 * lam - 1)) / np.sqrt(4 * (k + lam) * (k + lam - 1))
+
+
+def _gegenbauer_p0(lam: float) -> float:
+    """p_0 = (integral of (1-t^2)^{lam-1/2} over [-1, 1])^{-1/2}, the
+    integral being sqrt(pi) Gamma(lam+1/2) / Gamma(lam+1).  lam is taken
+    down to (0, 1] by Gamma(x+1) = x Gamma(x), since a difference of
+    log-Gammas would cancel to about 1e-14 relative from lam of 40 on."""
+    base = lam - math.ceil(lam) + 1.0
+    ratio = math.prod((base + x) / (base + x - 0.5) for x in range(1, math.ceil(lam)))
+    return math.sqrt(ratio * math.gamma(base + 1.0) / (math.sqrt(math.pi) * math.gamma(base + 0.5)))
+
+
+def _gegenbauer_family(kmax: int, lam: float):
+    """Orthonormal Gegenbauer polynomials p_k, w = (1-t^2)^{lam-1/2} on
+    [-1, 1], lam > 0; Legendre is lam = 1/2.  The rows are the polynomials
+    themselves (psi_k = p_k), so a Gauss rule of this family keeps the
+    weight function in its weights."""
+    b = _gegenbauer_b(np.arange(1.0, kmax + 1), lam).tolist()
+    return [0.0] * kmax, b, lambda x, p0=_gegenbauer_p0(lam): np.full_like(x, p0)
 
 
 def _orthonormal_rows(x, a, b, psi0, out=None):
@@ -242,8 +262,10 @@ def hermite_fn_multi(alpha, x):
 
 def gegenbauer_table(smax: int, lam: float, t) -> np.ndarray:
     """Gegenbauer values C_s^lam(t) for s = 0..smax, shape (smax+1,) + t.shape,
-    in the generating-function normalization: C_0 = 1, C_1 = 2 lam t,
-        s C_s = 2 t (s+lam-1) C_{s-1} - (s+2 lam-2) C_{s-2}.
+    in the generating-function normalization (C_0 = 1, C_1 = 2 lam t): the
+    rows p_s / p_0 of the Gegenbauer family times sqrt(h_s / h_0), where
+    h_s = pi 2^{1-2 lam} Gamma(s+2 lam) / (s! (s+lam) Gamma(lam)^2) is the
+    squared norm of C_s, so h_s / h_0 = (2 lam)_s / s! * lam / (s+lam).
     """
     smax = _check_degree(smax)
     lam = float(lam)
@@ -252,12 +274,11 @@ def gegenbauer_table(smax: int, lam: float, t) -> np.ndarray:
     t, _ = _as_float_array(t)
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("gegenbauer argument must lie in [-1, 1]")
-    out = np.empty((smax + 1,) + t.shape, dtype=float)
-    out[0] = 1.0
-    if smax >= 1:
-        out[1] = 2.0 * lam * t
-    for j in range(2, smax + 1):
-        out[j] = (2 * t * (j + lam - 1) * out[j - 1] - (j + 2 * lam - 2) * out[j - 2]) / j
+    a, b, _ = _gegenbauer_family(smax, lam)
+    out = _orthonormal_table(t, a, b, np.ones_like)
+    s = np.arange(1.0, smax + 1)
+    ratio = np.concatenate([[1.0], np.cumprod((s + 2 * lam - 1) / s) * lam / (s + lam)])
+    out *= np.sqrt(ratio).reshape((-1,) + (1,) * t.ndim)
     return out
 
 

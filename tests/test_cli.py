@@ -51,16 +51,35 @@ _REQUIRED = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, n",
-    [(command, "0") for command in _REQUIRED] + [("project", "4"), ("decay", "4")],
-)
+@pytest.mark.parametrize("command, n", [(command, "0") for command in _REQUIRED])
 def test_dimension_out_of_range_is_usage_error(command, n, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--n", n] + _REQUIRED[command])
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "--n" in err and "Traceback" not in err
+
+
+def test_project_runs_past_n3(capsys):
+    # both eigenbases exist at every n: the Hermite and polar projections
+    # of a Hecke-Bochner field agree at n = 4
+    code, out, err = run_cli(["project", "--n", "4", "--field", "hecke:M=2,K=1,f0=gausspoly", "--seed", "3"], capsys)
+    assert code == 0 and err == ""
+    rows = parse_csv(out)
+    assert len(rows) == 20
+    assert max(abs(float(r["diff"])) for r in rows) <= 1e-8
+
+
+def test_decay_past_the_grid_cap_is_a_resource_error(capsys):
+    # at n = 6 the radial x sphere grid of the default levels is past 1e7
+    # points; it is refused before the sphere rule is built
+    from oscspectra.quadrature import sphere_rule
+
+    built = sphere_rule.cache_info().misses
+    code, out, err = run_cli(["decay", "--n", "6"], capsys)
+    assert sphere_rule.cache_info().misses == built
+    assert code == 3 and out == ""
+    assert "resource cap exceeded" in err and "Traceback" not in err
 
 
 def test_project_negative_level_is_usage_error(capsys):

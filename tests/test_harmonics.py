@@ -84,7 +84,7 @@ def test_zonal_table_rows_match_zonal(n):
             assert not table[s].any()
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_addition_theorem_against_basis_sum(n):
     rng = np.random.default_rng(17)
     for s in range(11):
@@ -152,7 +152,7 @@ def test_cross_degree_grams_vanish():
 
 def test_basis_unsupported_dimension():
     with pytest.raises(ValueError):
-        sph_basis(4, 2)
+        sph_basis(0, 2)
 
 
 def test_solid_harmonic_constant():
@@ -163,7 +163,7 @@ def test_solid_harmonic_constant():
 
 def test_solid_harmonic_homogeneity():
     rng = np.random.default_rng(9)
-    for n, s in ((2, 3), (3, 2), (3, 5)):
+    for n, s in ((2, 3), (3, 2), (3, 5), (4, 3), (5, 4), (6, 2)):
         j = dim_harmonic(n, s)
         pts = rng.uniform(-1.5, 1.5, size=(10, n))
         doubled = solid_harmonic(n, s, j, 2 * pts)
@@ -183,7 +183,7 @@ def test_solid_harmonic_rejects_bad_index():
 def test_solid_harmonic_is_harmonic():
     # finite-difference Laplacian residual at random points
     rng = np.random.default_rng(23)
-    for n, s in ((2, 4), (3, 3)):
+    for n, s in ((2, 4), (3, 3), (4, 3), (5, 2), (6, 3)):
         basis = sph_basis(n, s)
         solid = basis.combination(np.eye(basis.dim)[1])
         pts = rng.uniform(-1.2, 1.2, size=(8, n))
@@ -239,8 +239,10 @@ def test_sph_table_matches_per_degree_oracle(n):
         want = solid_harmonic_rows(n, s, pts)
         assert rows.shape == (dim_harmonic(n, s), len(pts))
         assert np.abs(rows - want).max() <= 1e-13 * np.abs(want).max()
-        # the origin is exact: the constant at s = 0, zero above
-        assert np.array_equal(rows[:, -1], want[:, -1])
+        # the origin is exact: the constant of every other point at s = 0
+        # (the chain forms it as p_0 (2 pi)^{-1/2} at n = 3, one rounding
+        # from the oracle's (4 pi)^{-1/2}), zero above
+        assert np.array_equal(rows[:, -1], rows[:, 0] if s == 0 else want[:, -1])
     assert seen == [s for s in range(s_max + 1) if dim_harmonic(n, s)]
 
 
@@ -261,4 +263,24 @@ def test_evaluate_all_is_last_table_entry(n):
 
 def test_sph_table_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
-        next(sph_table(4, 3, np.zeros((2, 4))))
+        sph_table(0, 3, np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("n, s_max", ((3, 8), (4, 8), (5, 8), (6, 5)))
+def test_chain_rows_are_orthonormal(n, s_max):
+    # the Gram of every row of degree <= s_max on the chain sphere rule of
+    # degree 2 s_max + 2, which integrates each product exactly
+    rule = sphere_rule(n, 2 * s_max + 2)
+    rows = np.vstack([r for _s, r in sph_table(n, s_max, rule.nodes)])
+    assert len(rows) == sum(dim_harmonic(n, s) for s in range(s_max + 1))
+    gram = (rows * rule.weights) @ rows.T
+    assert np.abs(gram - np.eye(len(rows))).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_sph_table_is_homogeneous_and_exact_at_the_origin_past_n3(n):
+    pts = np.vstack([random_unit(np.random.default_rng(70 + n), 30, n) * 1.7, np.zeros(n)])
+    doubled = dict(sph_table(n, 8, 2.0 * pts))
+    for s, rows in sph_table(n, 8, pts):
+        assert np.abs(doubled[s] - 2.0**s * rows).max() <= 1e-13 * 2.0**s * np.abs(rows).max()
+        assert np.array_equal(rows[:, -1], np.full(len(rows), rows[0, -1] if s == 0 else 0.0))

@@ -242,10 +242,11 @@ def test_exact_harmonic_basis_counts_and_is_harmonic():
                 assert _laplacian_oracle(h) == {}
 
 
-@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_exact_harmonics_lie_in_sph_table_span(n):
-    # ties the exact basis to the float evaluator the projections use
-    pts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(50, n))
+    # ties the exact basis to the float evaluator the projections use; more
+    # points than rows of any degree, so each fit is overdetermined
+    pts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(50 + 2 * dim_harmonic(n, 8), n))
     for s, rows in sph_table(n, 8, pts):
         for j in range(1, dim_harmonic(n, s) + 1):
             vals = sum(float(c) * np.prod(pts**e, axis=1) for e, c in solid_harmonic_poly(n, s, j))

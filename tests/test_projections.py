@@ -8,6 +8,7 @@ import pytest
 from oscspectra.errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from oscspectra.fields import (
     ScalarField,
+    parse_field_id,
     bump_field,
     f0_gauss,
     f0_gauss_poly,
@@ -188,26 +189,25 @@ def test_hecke_closed_form_equals_laguerre_times_solid_harmonic():
                 assert np.abs(closed(pts) - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_polar_coeffs_sweeps_harmonics_on_the_meridian_only(monkeypatch):
-    # the harmonic rows are needed on the nz meridian points, not on all
-    # nz * nphi sphere nodes
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_operator_build_sweeps_about_nz_plus_nphi_points(n, monkeypatch):
+    # an operator build sweeps the harmonic rows on the nphi base nodes and
+    # runs one chain step on the nz line nodes of each level, never on the
+    # nz * nphi (or larger) product of the sphere rule
     import oscspectra.projections as projections_module
 
     sizes = []
-    table = projections_module.sph_table
-
-    def counting_table(n, s_max, points):
-        sizes.append(len(points))
-        return table(n, s_max, points)
-
-    monkeypatch.setattr(projections_module, "sph_table", counting_table)
+    table, chain = projections_module.sph_table, projections_module._chain
+    monkeypatch.setattr(projections_module, "sph_table", lambda k, s, pts: sizes.append(("sph_table", len(pts))) or table(k, s, pts))
+    monkeypatch.setattr(projections_module, "_chain", lambda k, z, *rest: sizes.append(("_chain", len(z))) or chain(k, z, *rest))
     # the extraction operator is memoized: start cold, so this call builds it
     _extraction_operator.cache_clear()
     m_max = 10
-    polar_coeffs(bump_field(3), m_max)
-    sphere = sphere_rule(3, m_max)  # the radial bump declares band 0
-    assert sizes == [len(sphere.line.nodes)]
-    assert len(sphere.nodes) == len(sphere.line.nodes) * (m_max + 1)
+    polar_coeffs(bump_field(n), m_max)
+    sphere = sphere_rule(n, m_max)  # the radial bump declares band 0
+    nz, nphi = len(sphere.line.nodes), m_max + 1
+    assert sizes == [("sph_table", nphi)] + [("_chain", nz)] * (n - 2)
+    assert len(sphere.nodes) == nphi * nz ** (n - 2)
 
 
 def test_polar_coeffs_keep_per_degree_matrices():
@@ -426,7 +426,8 @@ def test_suite_field_calls_and_sweeps(n, call_bound, sweep_bound, monkeypatch):
     # with each multi-level check evaluating once per point set; the bounds
     # allow about 10% on top of the cold counts (one projection evaluation
     # per level and one field evaluation per FD step took 97 / 357 / 355
-    # calls and 110 / 403 / 401 sweeps)
+    # calls and 110 / 403 / 401 sweeps).  The chain recurses through a
+    # private generator, so one sph_table call is one sweep at every n.
     import oscspectra.fields as fields_module
     import oscspectra.harmonics as harmonics_module
     import oscspectra.projections as projections_module
@@ -446,6 +447,10 @@ def test_suite_field_calls_and_sweeps(n, call_bound, sweep_bound, monkeypatch):
     monkeypatch.setattr(ScalarField, "__call__", counted_call)
     for module in (fields_module, harmonics_module, projections_module, verify_module):
         monkeypatch.setattr(module, "sph_table", counted_table)
+    # start cold, the state the bounds were set from: the extraction
+    # operators and the rules they hold are memoized across tests
+    for cache in (_extraction_operator, default_radial_rules, gauss_radial, gauss_hermite, sphere_rule, _tensor_rule):
+        cache.cache_clear()
     run_suite(n, 8)
     assert calls[0] <= call_bound and sweeps[0] <= sweep_bound
 
@@ -492,10 +497,10 @@ def test_cold_and_warm_extraction_are_bitwise_equal(n):
 
 
 def test_extraction_operator_arrays_are_read_only():
-    f, _ = random_band_limited(3, 6, np.random.default_rng(70))
-    op = _extraction_operator(3, 6, f.band + 6, None, f.degree + 6)
-    arrays = [op.azimuth] + [a for _s, _start, *pair in op.degrees for a in pair]
-    assert len(arrays) == 1 + 2 * 7
+    f, _ = random_band_limited(4, 6, np.random.default_rng(70))
+    op = _extraction_operator(4, 6, f.band + 6, None, f.degree + 6)
+    arrays = [op.base] + [q for level in op.levels for q in level] + [rad for _s, rad in op.degrees]
+    assert len(arrays) == 1 + 2 * 7 + 7
     for a in arrays:
         with pytest.raises(ValueError):
             a[...] = 0.0
@@ -512,8 +517,8 @@ def test_returned_coefficients_do_not_alias_the_operator():
 
 
 def test_certify_pass_operators_fit_the_memory_bound(monkeypatch):
-    # run_suite(n, 8, seed=7) over n = 1..4 builds 38 operators holding
-    # about 1.87 MB; the bound allows about a third on top
+    # run_suite(n, 8, seed=7) over n = 1..4 builds 26 operators holding
+    # about 1.79 MB; the bound allows about a third on top
     import functools
 
     import oscspectra.projections as projections_module
@@ -528,7 +533,8 @@ def test_certify_pass_operators_fit_the_memory_bound(monkeypatch):
     monkeypatch.setattr(projections_module, "_extraction_operator", functools.lru_cache(maxsize=None)(record))
     for n in (1, 2, 3, 4):
         run_suite(n, 8, seed=7)
-    total = sum(op.azimuth.nbytes + sum(m.nbytes + r.nbytes for _s, _c, m, r in op.degrees) for op in built)
+    arrays = [[op.base] + [q for level in op.levels for q in level] + [r for _s, r in op.degrees] for op in built]
+    total = sum(a.nbytes for group in arrays for a in group)
     assert built and total <= 2_500_000
 
 
@@ -580,6 +586,47 @@ def test_project_cross_basis_agreement():
             a = project(f, m, "hermite", ch)(pts)
             b = project(f, m, "polar", cp)(pts)
             assert np.abs(a - b).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_polar_coeffs_recover_band_limited_fields_past_n3(n):
+    # the chain basis and its extraction operator: coefficients of a seeded
+    # band-limited field come back exactly, and so does its norm (Parseval)
+    f, exact = random_band_limited(n, 6, np.random.default_rng(80 + n))
+    c = polar_coeffs(f, 6)
+    assert c.entries.keys() >= exact.keys()
+    assert max(abs(v - exact.get(key, 0.0)) for key, v in c.entries.items()) < 1e-13
+    assert abs(parseval_check(f, c, field_norm_sq(f))) < 1e-12
+    assert c.norm_sq() == pytest.approx(sum(v * v for v in exact.values()), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_hermite_and_polar_projections_agree_past_n3(n):
+    # the paper's two decompositions of one field, level by level
+    f, level = parse_field_id("hecke:M=2,K=1,f0=gausspoly", n, np.random.default_rng(n))
+    pts = np.random.default_rng(90 + n).uniform(-2.0, 2.0, size=(20, n))
+    ch, cp = hermite_coeffs(f, level), polar_coeffs(f, level)
+    for m in (level - 2, level):
+        a = project(f, m, "hermite", ch)(pts)
+        b = project(f, m, "polar", cp)(pts)
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
+
+
+def test_rotation_and_hecke_bochner_hold_at_n4():
+    # the (com) and (Th) identities as library calls on the chain basis
+    rng = np.random.default_rng(13)
+    f, _ = random_band_limited(4, 4, rng)
+    maps = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(3)]
+    maps[0][0] *= -1.0  # one reflection
+    assert rotation_commutes(f, np.array(maps), 4, seed=2) < 1e-10
+    solid = random_solid_harmonic(4, 2, rng)
+    field = radial_harmonic_field(f0_gauss_poly, solid)
+    pts = rng.uniform(-2.0, 2.0, size=(20, 4))
+    levels = hermite_levels(hermite_coeffs(field, 10).tensor, pts)
+    for big_k in range(4):
+        _, closed = hecke_bochner(f0_gauss_poly, solid, big_k)
+        assert np.abs(closed(pts) - levels[2 + 2 * big_k]).max() < 1e-10
+    assert np.abs(levels[[0, 1, 3, 5, 7, 9]]).max() < 1e-10
 
 
 def test_project_idempotent_and_mutually_annihilating():

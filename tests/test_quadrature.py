@@ -150,14 +150,15 @@ def test_radial_rule_compact_polynomial_exactness():
 
 
 def test_sphere_rule_total_mass():
-    for n, want in ((1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi)):
+    masses = ((1, 2.0), (2, 2 * math.pi), (3, 4 * math.pi), (4, 2 * math.pi**2), (5, 8 * math.pi**2 / 3), (6, math.pi**3))
+    for n, want in masses:
         rule = sphere_rule(n, 6)
         got = rule.integrate(lambda p: np.ones(len(p)))
         assert got == pytest.approx(want, abs=1e-14 * max(1, want))
 
 
 def test_sphere_rule_kills_nonconstant_harmonics():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5, 6):
         rule = sphere_rule(n, 12)
         for s in (1, 3, 5):
             vals = sph_basis(n, s).evaluate_all(rule.nodes)
@@ -177,7 +178,9 @@ def test_sphere_rule_is_z_rule_times_uniform_azimuths(n):
     # through 2 pi i / nphi; its weight is the line weight times one
     # uniform azimuth weight
     rule = sphere_rule(n, 9)
-    z, wz = rule.line.nodes, rule.line.weights
+    # the bases keep no line: {-1, +1} at n = 1, the circle z = 0 at n = 2
+    z = rule.line.nodes if n == 3 else {1: np.array([-1.0, 1.0]), 2: np.zeros(1)}[n]
+    wz = rule.line.weights if n == 3 else np.ones(len(z))
     nphi = len(rule.nodes) // len(z)
     assert len(z) * nphi == len(rule.nodes)
     phi = 2.0 * math.pi * np.arange(nphi) / nphi
@@ -208,9 +211,27 @@ def test_legendre_sphere_and_polar_grids_are_capped_before_they_allocate(capsys)
     assert "resource cap exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_sphere_rule_is_gegenbauer_line_times_the_lower_rule(n):
+    # node iz * N + i is node i of sphere_rule(n - 1) scaled by sqrt(1 - z^2)
+    # with z appended; its weight is the product of the two weights
+    rule, lower = sphere_rule(n, 7), sphere_rule(n - 1, 7)
+    z, wz = rule.line.nodes, rule.line.weights
+    assert len(z) == 4 and len(rule.nodes) == len(z) * len(lower.nodes)
+    nodes = rule.nodes.reshape(len(z), len(lower.nodes), n)
+    assert np.abs(nodes[..., :-1] - np.sqrt(1.0 - z * z)[:, None, None] * lower.nodes).max() < 1e-15
+    assert np.array_equal(nodes[..., -1], np.repeat(z[:, None], len(lower.nodes), axis=1))
+    assert np.allclose(rule.weights, np.outer(wz, lower.weights).ravel(), rtol=1e-15, atol=0)
+    # the line is the Gauss rule of (1 - z^2)^{(n-3)/2} dz: exact to degree 7
+    mass = math.sqrt(math.pi) * math.gamma((n - 1) / 2) / math.gamma(n / 2)
+    for j in range(0, 8, 2):
+        want = mass * math.prod((i + 0.5) / (i + n / 2) for i in range(j // 2))
+        assert wz @ z**j == pytest.approx(want, rel=1e-14)
+
+
 def test_sphere_rule_unsupported_dimension():
     with pytest.raises(ValueError):
-        sphere_rule(4, 6)
+        sphere_rule(0, 6)
 
 
 def test_tensor_rule_hermite_gram():

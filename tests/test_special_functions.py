@@ -173,8 +173,8 @@ def test_high_degree_evaluations_stay_finite():
 
 
 def test_every_orthonormal_family_runs_through_the_one_recurrence(monkeypatch):
-    # the Hermite and Laguerre tables and the Hermite, Laguerre and Legendre
-    # Gauss rules all run one three-term recurrence generator
+    # the Hermite, Laguerre and Gegenbauer tables and the Hermite, Laguerre
+    # and Legendre Gauss rules all run one three-term recurrence generator
     runs = []
     generator = special_functions._orthonormal_rows
 
@@ -188,6 +188,7 @@ def test_every_orthonormal_family_runs_through_the_one_recurrence(monkeypatch):
         "hermite_table": lambda: hermite_table(4, x),
         "hermite_fn": lambda: hermite_fn(4, x),
         "laguerre_fn_table": lambda: laguerre_fn_table(4, 0.5, x),
+        "gegenbauer_table": lambda: special_functions.gegenbauer_table(4, 1.5, x / 2.0),
         "gauss_legendre": lambda: quadrature.gauss_legendre(6),
         "gauss_hermite": lambda: quadrature.gauss_hermite.__wrapped__(6),
         "gauss_radial": lambda: quadrature.gauss_radial.__wrapped__(6, 0.5),
