@@ -13,6 +13,7 @@ from .errors import (
     DimensionMismatchError,
     IntegrabilityError,
     OscSpectraError,
+    OutputError,
     ResourceLimitError,
 )
 from .fields import (

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import dataclasses
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .errors import ResourceLimitError
+from ._tables import write_table
+from .errors import OutputError, ResourceLimitError
 from .fields import parse_field_id, ScalarField
 from .kernels import (
-    kernel_bench, multi_index_count, phi_direct_values, phi_polar_values, polar_term_count
+    BenchRecord, kernel_bench, multi_index_count, phi_direct_values, phi_polar_values, polar_term_count
 )
 from .polyspaces import dimension_identity, heat_certificate, hermite_span, laguerre_harmonic_span
 from .projections import coefficient_decay_probe, hermite_coeffs, polar_coeffs, project
@@ -44,36 +44,9 @@ EXIT_RESOURCE = 3
 EXIT_PIPE = 141
 
 
-def _write_rows(rows, columns, args, command):
-    """Emit rows as CSV (default) or JSON to --output or stdout."""
-    fmt = args.format
-    if args.output:
-        fh = open(args.output, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = sys.stdout
-        close = False
-    try:
-        if fmt == "json":
-            payload = {"schema": 1, "command": command, "rows": rows}
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_plain(row.get(c, "")) for c in columns])
-    finally:
-        if close:
-            fh.close()
-
-
-def _plain(value):
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+def _report(args, command, columns, comments=()):
+    """Write a table in --format to --output or stdout."""
+    write_table(args.output or sys.stdout, columns, comments, args.format, command)
 
 
 def _parse_tolerances(pairs, parser):
@@ -107,26 +80,11 @@ def _int_at_least(low):
 def cmd_verify(args, parser):
     overrides = _parse_tolerances(args.tol, parser)
     rows = run_suite(args.n, args.m_max, seed=args.seed, tolerances=overrides)
-    out = [
-        {
-            "identity": r.identity,
-            "detail": r.detail,
-            "n": r.n,
-            "measured": r.measured,
-            "comparison": r.cmp,
-            "bound": r.bound,
-            "status": "pass" if r.passed else "fail",
-        }
-        for r in rows
-    ]
     if args.output or args.format == "json":
-        _write_rows(
-            out,
-            ["identity", "detail", "n", "measured", "comparison", "bound", "status"],
-            args,
-            "verify",
-        )
-    if not args.output and args.format != "json":
+        names = ("identity", "detail", "n", "measured", "comparison", "bound", "status")
+        values = [(r.identity, r.detail, r.n, r.measured, r.cmp, r.bound, "pass" if r.passed else "fail") for r in rows]
+        _report(args, "verify", dict(zip(names, zip(*values))))
+    else:
         for r in rows:
             print(
                 f"{'PASS' if r.passed else 'FAIL'} ({r.identity}) {r.detail}: "
@@ -146,19 +104,11 @@ def cmd_kernel(args, parser):
     direct = phi_direct_values(args.n, args.m, x, y)
     polar = phi_polar_values(args.n, args.m, x, y)
     rel = np.abs(direct - polar) / (1.0 + np.abs(direct))
-    terms = dict(terms_direct=multi_index_count(args.n, args.m), terms_polar=polar_term_count(args.m))
-    rows = []
-    for i in range(args.pairs):
-        row = {f"x{d + 1}": x[i, d] for d in range(args.n)}
-        row.update({f"y{d + 1}": y[i, d] for d in range(args.n)})
-        row.update(phi_direct=direct[i], phi_polar=polar[i], rel_diff=rel[i], **terms)
-        rows.append(row)
-    cols = (
-        [f"x{d + 1}" for d in range(args.n)]
-        + [f"y{d + 1}" for d in range(args.n)]
-        + ["phi_direct", "phi_polar", "rel_diff", "terms_direct", "terms_polar"]
-    )
-    _write_rows(rows, cols, args, "kernel")
+    columns = {f"{v}{d + 1}": p[:, d] for v, p in (("x", x), ("y", y)) for d in range(args.n)}
+    columns.update(phi_direct=direct, phi_polar=polar, rel_diff=rel)
+    columns["terms_direct"] = [multi_index_count(args.n, args.m)] * args.pairs
+    columns["terms_polar"] = [polar_term_count(args.m)] * args.pairs
+    _report(args, "kernel", columns)
     return EXIT_OK
 
 
@@ -224,28 +174,16 @@ def cmd_project(args, parser):
     coeffs_p = polar_coeffs(field, m)
     proj_h = project(field, m, "hermite", coeffs_h)(pts)
     proj_p = project(field, m, "polar", coeffs_p)(pts)
-    fvals = field(pts)
-    rows = []
-    for i in range(len(pts)):
-        row = {f"x{d + 1}": pts[i, d] for d in range(args.n)}
-        row.update(
-            f=fvals[i],
-            proj_hermite=proj_h[i],
-            proj_polar=proj_p[i],
-            diff=proj_h[i] - proj_p[i],
-        )
-        rows.append(row)
-    cols = [f"x{d + 1}" for d in range(args.n)] + ["f", "proj_hermite", "proj_polar", "diff"]
-    _write_rows(rows, cols, args, "project")
+    columns = {f"x{d + 1}": pts[:, d] for d in range(args.n)}
+    columns.update(f=field(pts), proj_hermite=proj_h, proj_polar=proj_p, diff=proj_h - proj_p)
+    _report(args, "project", columns)
     return EXIT_OK
 
 
 def cmd_bench(args, parser):
-    rows = [
-        asdict(rec) for m in args.m for rec in kernel_bench(args.n, m, args.trials, seed=args.seed)
-    ]
-    cols = ["n", "m", "method", "terms", "nanos_per_eval", "max_rel_diff"]
-    _write_rows(rows, cols, args, "bench")
+    records = [rec for m in args.m for rec in kernel_bench(args.n, m, args.trials, seed=args.seed)]
+    columns = {f.name: [getattr(rec, f.name) for rec in records] for f in dataclasses.fields(BenchRecord)}
+    _report(args, "bench", columns)
     return EXIT_OK
 
 
@@ -253,32 +191,22 @@ def cmd_dims(args, parser):
     if args.dump_span:
         if args.m is None:
             parser.error("--dump-span requires --m")
-        span = (
-            hermite_span(args.n, args.m)
-            if args.dump_span == "hermite"
-            else laguerre_harmonic_span(args.n, args.m)
-        )
-        span.to_csv(args.output or sys.stdout)
+        build = hermite_span if args.dump_span == "hermite" else laguerre_harmonic_span
+        _report(args, "dims", *build(args.n, args.m)._table())
         return EXIT_OK
-    rows = []
-    for m in range(args.m_max + 1):
-        lhs, rhs = dimension_identity(args.n, m)
-        row = {"m": m, "dim_laguerre_harmonic": lhs, "dim_poly": rhs, "equal": int(lhs == rhs)}
-        if args.spans and m <= 8:
-            cmpres = heat_certificate(hermite_span(args.n, m), laguerre_harmonic_span(args.n, m))
-            row.update(
-                rank_hermite=cmpres.rank_a,
-                rank_laguerre=cmpres.rank_b,
-                rank_stacked=cmpres.rank_stacked,
-                spans_equal=int(cmpres.equal),
-            )
-        rows.append(row)
-    cols = ["m", "dim_laguerre_harmonic", "dim_poly", "equal"]
+    levels = range(args.m_max + 1)
+    lhs, rhs = zip(*(dimension_identity(args.n, m) for m in levels))
+    columns = {"m": levels, "dim_laguerre_harmonic": lhs, "dim_poly": rhs}
+    columns["equal"] = [int(a == b) for a, b in zip(lhs, rhs)]
     if args.spans:
-        cols += ["rank_hermite", "rank_laguerre", "rank_stacked", "spans_equal"]
-    _write_rows(rows, cols, args, "dims")
-    bad = [r for r in rows if not r["equal"] or r.get("spans_equal", 1) == 0]
-    return EXIT_VERIFY_FAIL if bad else EXIT_OK
+        # span ranks stop at m = 8; the rows past it leave these fields blank
+        ranks = [(None,) * 4] * len(levels)
+        for m in levels[:9]:
+            c = heat_certificate(hermite_span(args.n, m), laguerre_harmonic_span(args.n, m))
+            ranks[m] = (c.rank_a, c.rank_b, c.rank_stacked, int(c.equal))
+        columns.update(zip(("rank_hermite", "rank_laguerre", "rank_stacked", "spans_equal"), zip(*ranks)))
+    _report(args, "dims", columns)
+    return EXIT_VERIFY_FAIL if 0 in columns["equal"] or 0 in columns.get("spans_equal", ()) else EXIT_OK
 
 
 def cmd_decay(args, parser):
@@ -289,18 +217,9 @@ def cmd_decay(args, parser):
         parser.error(str(exc))
     levels = args.levels if args.levels is not None else (80 - args.n) // 2
     probe = coefficient_decay_probe(field, levels)
-    fh = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
-    try:
-        fh.write(f"# field: {field.label}\n")
-        fh.write(f"# fitted_slope: {probe.slope!r}\n")
-        fh.write(f"# fit_points: {probe.fit_count}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "max_abs_coeff"])
-        for lam, _k, _s, val in probe.rows:
-            writer.writerow([int(lam), float(val)])
-    finally:
-        if args.output:
-            fh.close()
+    columns = {"lambda": [int(r[0]) for r in probe.rows], "max_abs_coeff": [float(r[3]) for r in probe.rows]}
+    comments = (f"field: {field.label}", f"fitted_slope: {probe.slope!r}", f"fit_points: {probe.fit_count}")
+    _report(args, "decay", columns, comments)
     return EXIT_OK
 
 
@@ -329,7 +248,7 @@ def _dump_rule(spec, args, parser):
         rule = _RULE_BUILDERS[kind](opts)
     except (ValueError, KeyError) as exc:
         parser.error(f"cannot build rule {spec!r}: {exc}")
-    rule.to_csv(args.output or sys.stdout)
+    _report(args, "dump-rule", *rule._table())
     return EXIT_OK
 
 
@@ -362,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-rule",
         metavar="KIND:K=V,...",
-        help="serialize a quadrature rule as CSV and exit "
+        help="serialize a quadrature rule in --format and exit "
         "(kinds: gauss_hermite, radial, radial_compact, sphere, tensor)",
     )
     # the same options are accepted after the subcommand; SUPPRESS keeps the
@@ -431,6 +350,8 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OutputError as exc:
+        parser.error(str(exc))
     except BrokenPipeError:
         # the reader went away (e.g. `| head`); point stdout at devnull so
         # the interpreter's final flush cannot raise again

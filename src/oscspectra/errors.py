@@ -18,6 +18,10 @@ class ResourceLimitError(OscSpectraError, RuntimeError):
     """Requested enumeration or product rule exceeds the hard size cap."""
 
 
+class OutputError(OscSpectraError, OSError):
+    """A report's target path cannot be opened for writing."""
+
+
 class IntegrabilityError(OscSpectraError, RuntimeError):
     """Radial integrand shows divergent tail contributions at the
     quadrature nodes; the weighted inner product does not converge."""

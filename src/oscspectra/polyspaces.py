@@ -25,6 +25,7 @@ from itertools import product
 
 import numpy as np
 
+from ._tables import write_table
 from .errors import ResourceLimitError
 from .harmonics import dim_harmonic
 from .kernels import multi_indices
@@ -62,17 +63,16 @@ class PolySpan:
     matrix: np.ndarray
     labels: tuple
 
+    def _table(self):
+        """Columns generator, then one float column per monomial, and the
+        monomial-order comment."""
+        columns = {"generator": self.labels}
+        for e, col in zip(self.monomials, self.matrix.T.astype(float)):
+            columns["m" + "_".join(map(str, e))] = col
+        return columns, ("monomial_order: graded lexicographic, exponents descending",)
+
     def to_csv(self, target) -> None:
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-        try:
-            fh.write("# monomial_order: graded lexicographic, exponents descending\n")
-            fh.write("generator," + ",".join("m" + "_".join(map(str, e)) for e in self.monomials) + "\n")
-            for label, row in zip(self.labels, self.matrix):
-                fh.write(label + "," + ",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if own:
-                fh.close()
+        write_table(target, *self._table())
 
 
 def _check_caps(n: int, m: int) -> None:

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._tables import write_table
 from .errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
 from .harmonics import SWEEP_BLOCK, SolidHarmonic, _chain, dim_harmonic, sph_table
@@ -123,17 +124,15 @@ class SpectralCoefficients:
 
     def to_csv(self, target) -> None:
         """Serialize as CSV: basis, index (semicolon-joined), eigenvalue, value."""
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-        try:
-            fh.write("basis,index,eigenvalue,value\n")
-            for index, value in sorted(self.entries.items()):
-                level = sum(index) if self.basis == "hermite" else index[1] + 2 * index[0]
-                joined = ";".join(str(i) for i in index)
-                fh.write(f"{self.basis},{joined},{self.n + 2 * level},{float(value)!r}\n")
-        finally:
-            if own:
-                fh.close()
+        items = sorted(self.entries.items())
+        levels = [sum(i) if self.basis == "hermite" else i[1] + 2 * i[0] for i, _ in items]
+        columns = {
+            "basis": [self.basis] * len(items),
+            "index": [";".join(map(str, i)) for i, _ in items],
+            "eigenvalue": [self.n + 2 * level for level in levels],
+            "value": [v for _, v in items],
+        }
+        write_table(target, columns)
 
 
 def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:

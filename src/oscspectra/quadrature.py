@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._tables import write_table
 from .errors import ContractViolationError, ResourceLimitError
 from .special_functions import (
     _gegenbauer_family,
@@ -52,7 +53,8 @@ _TENSOR_CAP = 10**7
 
 # Largest rules whose full Gram check (every psi_j psi_k, j, k < N) passes
 # to 1e-12; past them psi_0 underflows at the outer nodes and the Gram or
-# the weights break down (beta = n/2 - 1 for n <= 3 on the radial side).
+# the weights break down (beta = n/2 - 1 for n <= 3 on the radial side; a
+# larger beta can break down below the cap, which gauss_radial refuses).
 _LINE_CAP = 744
 _RADIAL_CAP = 382
 
@@ -90,20 +92,16 @@ class QuadratureRule:
         vals = np.asarray(fn(self.nodes), dtype=float)
         return float(self.weights @ vals)
 
+    def _table(self):
+        """Columns x1[,x2,..],weight and the domain and exactness comments."""
+        pts = self.nodes.reshape(len(self.weights), -1)
+        columns = {f"x{d + 1}": pts[:, d] for d in range(pts.shape[1])}
+        columns["weight"] = self.weights
+        return columns, (f"domain: {self.domain_tag}", f"exactness_degree: {self.exactness_degree}")
+
     def to_csv(self, target) -> None:
         """Serialize as CSV: comment header, then x1[,x2,..],weight rows."""
-        own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-        fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-        try:
-            pts = self.nodes.reshape(len(self.weights), -1)
-            fh.write(f"# domain: {self.domain_tag}\n")
-            fh.write(f"# exactness_degree: {self.exactness_degree}\n")
-            fh.write(",".join(f"x{d + 1}" for d in range(pts.shape[1])) + ",weight\n")
-            for row, w in zip(pts, self.weights):
-                fh.write(",".join(repr(float(v)) for v in row) + f",{float(w)!r}\n")
-        finally:
-            if own:
-                fh.close()
+        write_table(target, *self._table())
 
 
 def _golub_welsch(a, b, psi0):
@@ -151,9 +149,13 @@ def gauss_radial(n: int, beta: float) -> QuadratureRule:
     """n-point rule for integrals over (0, inf) against r^{2 beta + 1} dr:
     the generalized Gauss-Laguerre rule of order beta in t = r^2, weighted
     by the Laguerre functions ell_k^beta(r), exact for p(r^2) e^{-r^2} with
-    deg p <= 2n-1."""
+    deg p <= 2n-1.  Where psi_0 underflows at the outer nodes below the
+    node cap (large beta), the rule is refused with ResourceLimitError."""
     _check_size("gauss_radial", n, _RADIAL_CAP)
-    t, weights = _golub_welsch(*_laguerre_family(n, beta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, weights = _golub_welsch(*_laguerre_family(n, beta))
+    if not (np.isfinite(t).all() and np.isfinite(weights).all()):
+        raise ResourceLimitError(f"gauss_radial of {n} nodes breaks down in float64 at beta={float(beta):g}")
     return QuadratureRule(np.sqrt(t), weights, f"radial(beta={float(beta):g})", 2 * n - 1)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -581,3 +582,51 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.wait(timeout=120) == 141
     assert first.startswith(b"x1,x2,x3,")
     assert b"Traceback" not in err
+
+
+# one small invocation of every command that writes a table, with the
+# command its JSON document names
+_TABLES = {
+    "verify": ("verify", ["verify", "--n", "1", "--m-max", "2"]),
+    "kernel": ("kernel", ["kernel", "--n", "2", "--m", "3", "--pairs", "4"]),
+    "project": ("project", ["project", "--n", "2", "--field", "hecke:M=2,K=1,f0=gausspoly", "--points", "4"]),
+    "bench": ("bench", ["bench", "--n", "2", "--m", "3", "--trials", "2"]),
+    "dims": ("dims", ["dims", "--n", "2", "--m-max", "5"]),
+    "dims-spans": ("dims", ["dims", "--n", "2", "--m-max", "10", "--spans"]),
+    "dump-span": ("dims", ["dims", "--n", "2", "--m", "3", "--dump-span", "laguerre"]),
+    "decay": ("decay", ["decay", "--n", "2", "--levels", "6"]),
+    "dump-rule": ("dump-rule", ["--dump-rule", "radial:n=5,beta=0.5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_unwritable_output_is_usage_error_naming_the_path(name, tmp_path, capsys):
+    path = tmp_path / "missing" / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(_TABLES[name][1] + ["--output", str(path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert str(path) in err and "Traceback" not in err
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("name", sorted(set(_TABLES) - {"verify"}))
+def test_json_rows_and_comments_match_the_csv(name, capsys):
+    command, argv = _TABLES[name]
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    lines = text.splitlines()
+    comments = [line[2:] for line in lines if line.startswith("# ")]
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    csv_rows = [{k: v for k, v in zip(header, row) if v != ""} for row in rows]
+    code, text, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["schema"] == 1 and payload["command"] == command
+    assert payload.get("comments", []) == comments
+    assert (name in ("decay", "dump-span", "dump-rule")) == bool(comments)
+    json_rows = [{k: str(v) for k, v in row.items()} for row in payload["rows"]]
+    if name == "bench":  # wall times differ from run to run
+        for row in csv_rows + json_rows:
+            row.pop("nanos_per_eval")
+    assert json_rows == csv_rows and len(json_rows) > 1

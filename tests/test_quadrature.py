@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,3 +303,22 @@ def test_rule_csv_dump():
     assert len(lines) == 3 + 5
     x, w = map(float, lines[3].split(","))
     assert w > 0 and x > 0
+
+
+@pytest.mark.parametrize("n, beta", [(382, 2.0), (382, 2.5), (340, 50.0)])
+def test_radial_breakdown_below_the_cap_is_a_resource_error(n, beta):
+    # psi_0 underflows at the outer nodes before the 382-node cap when beta
+    # is large; one node fewer at beta = 2 still builds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceLimitError, match=f"{n} nodes"):
+            gauss_radial(n, beta)
+        assert len(gauss_radial(381, 2.0).nodes) == 381
+
+
+def test_radial_breakdown_exits_3_from_dump_rule_and_field_norm(capsys):
+    assert main(["--dump-rule", "radial:n=382,beta=2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "resource cap exceeded" in err
+    with pytest.raises(ResourceLimitError):
+        field_norm_sq(dataclasses.replace(gaussian_field(6), degree=762))
