@@ -2,6 +2,7 @@
 CSV (``# `` comment lines, a header, the rows) or as one JSON document
 ``{"schema": 1, "command", "comments", "rows"}``."""
 
+import contextlib
 import csv
 import json
 import os
@@ -16,6 +17,15 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def open_target(path):
+    """Open a report path for writing; OutputError names a path that cannot
+    be opened."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OutputError(f"cannot write {os.fsdecode(path)}: {exc.strerror or exc}") from exc
+
+
 def write_table(target, columns, comments=(), fmt="csv", command=None) -> None:
     """Write ``columns`` ({name: sequence}, all of one length) to ``target``,
     a path or an open text stream.  A None entry is a blank CSV field and a
@@ -25,11 +35,7 @@ def write_table(target, columns, comments=(), fmt="csv", command=None) -> None:
     names = list(columns)
     cols = [c.tolist() if isinstance(c, np.ndarray) else [_plain(v) for v in c] for c in columns.values()]
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    try:
-        fh = open(target, "w", encoding="utf-8", newline="") if own else target
-    except OSError as exc:
-        raise OutputError(f"cannot write {os.fsdecode(target)}: {exc.strerror or exc}") from exc
-    try:
+    with open_target(target) if own else contextlib.nullcontext(target) as fh:
         if fmt == "json":
             payload = {"schema": 1, "command": command}
             if comments:
@@ -42,6 +48,3 @@ def write_table(target, columns, comments=(), fmt="csv", command=None) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(names)
             writer.writerows(zip(*cols, strict=True))
-    finally:
-        if own:
-            fh.close()

@@ -12,6 +12,7 @@ inherently machine-dependent column).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._tables import write_table
+from ._tables import open_target, write_table
 from .errors import OutputError, ResourceLimitError
 from .fields import parse_field_id, ScalarField
 from .kernels import (
@@ -39,14 +40,14 @@ from .verify import DEFAULT_TOLERANCES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141
 
 
 def _report(args, command, columns, comments=()):
-    """Write a table in --format to --output or stdout."""
-    write_table(args.output or sys.stdout, columns, comments, args.format, command)
+    """Write a table in --format to the stream main opened for --output, or
+    to stdout."""
+    write_table(args.stream, columns, comments, args.format, command)
 
 
 def _parse_tolerances(pairs, parser):
@@ -199,9 +200,11 @@ def cmd_dims(args, parser):
     columns = {"m": levels, "dim_laguerre_harmonic": lhs, "dim_poly": rhs}
     columns["equal"] = [int(a == b) for a, b in zip(lhs, rhs)]
     if args.spans:
-        # span ranks stop at m = 8; the rows past it leave these fields blank
+        # span ranks stop at m = 8; the rows past it leave these fields blank.
+        # The largest span goes first, so one past the size cap is refused
+        # before any is built.
         ranks = [(None,) * 4] * len(levels)
-        for m in levels[:9]:
+        for m in reversed(levels[:9]):
             c = heat_certificate(hermite_span(args.n, m), laguerre_harmonic_span(args.n, m))
             ranks[m] = (c.rank_a, c.rank_b, c.rank_stacked, int(c.equal))
         columns.update(zip(("rank_hermite", "rank_laguerre", "rank_stacked", "spans_equal"), zip(*ranks)))
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--m-max", type=_int_at_least(0), default=30)
     p.add_argument("--m", type=_int_at_least(0), default=None, help="degree for --dump-span")
-    p.add_argument("--spans", action="store_true", help="add span-rank columns (n<=3, m<=8)")
+    p.add_argument("--spans", action="store_true", help="add span-rank columns (m<=8)")
     p.add_argument("--dump-span", choices=["hermite", "laguerre"])
 
     p = sub.add_parser("decay", parents=[common], help="coefficient-decay probe for a catalog field")
@@ -340,11 +343,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (args.dump_rule or args.command):
         parser.error("a subcommand is required (or --dump-rule)")
+    if args.dump_rule and args.command:
+        parser.error(f"--dump-rule runs alone; it cannot be combined with the subcommand {args.command!r}")
     try:
-        if args.dump_rule:
-            code = _dump_rule(args.dump_rule, args, parser)
-        else:
-            code = _HANDLERS[args.command](args, parser)
+        # --output is opened before any work, so a path that cannot be
+        # written is a usage error at once
+        with open_target(args.output) if args.output else contextlib.nullcontext(sys.stdout) as args.stream:
+            code = _dump_rule(args.dump_rule, args, parser) if args.dump_rule else _HANDLERS[args.command](args, parser)
         sys.stdout.flush()
         return code
     except ResourceLimitError as exc:

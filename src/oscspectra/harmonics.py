@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateDegreeError, DimensionMismatchError
-from .special_functions import _gegenbauer_b, _gegenbauer_p0, gegenbauer_table
+from .special_functions import _gegenbauer_b, _gegenbauer_family, _gegenbauer_p0, _orthonormal_table
 
 __all__ = [
     "SWEEP_BLOCK",
@@ -70,36 +70,28 @@ def zonal_table(n: int, s_max: int, t) -> np.ndarray:
 
     Z_s is the reproducing kernel of the degree-s harmonic subspace of
     L2 on the sphere; it depends on the two poles only through their inner
-    product.  Closed forms:
-        n = 1:  Z_0 = 1/2,  Z_1(t) = t/2,  Z_s = 0 for s >= 2 (no harmonics);
-        n = 2:  Z_0 = 1/(2 pi),  Z_s(t) = cos(s arccos t)/pi  (s >= 1);
-        n >= 3: Z_s(t) = ((2s+n-2)/(n-2)) C_s^{(n-2)/2}(t) / omega_{n-1}.
+    product.  n = 1 has Z_0 = 1/2, Z_1(t) = t/2 and Z_s = 0 for s >= 2 (no
+    harmonics).  For n >= 2, Z_s(t) = q_s(1) q_s(t) / omega_n with
+    q_s = p_s / p_0 the orthonormal Gegenbauer polynomials of
+    lam = (n-2)/2 (Dai & Xu, Approximation Theory and Harmonic Analysis on
+    Spheres and Balls, ch. 1): cos(s arccos t)/pi for s >= 1 at n = 2, and
+    ((2s+n-2)/(n-2)) C_s^{(n-2)/2}(t) / omega_n above.  q_s(1) comes from
+    the same sweep, with t = 1 as a last column.
     """
     dim_harmonic(n, s_max)  # refuses n < 1 and s_max < 0
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > 1 + 1e-12):
         raise ValueError("zonal argument must lie in [-1, 1]")
     t = np.clip(t, -1.0, 1.0)
-    degrees = np.arange(s_max + 1).reshape((-1,) + (1,) * t.ndim)
     if n == 1:
         out = np.zeros((s_max + 1,) + t.shape)
         out[0] = 0.5
         out[1:2] = 0.5 * t
-    elif n == 2:
-        out = _circle_zonal(degrees, t)
-    else:
-        out = gegenbauer_table(s_max, (n - 2) / 2.0, t)
-        out *= (2.0 * degrees + n - 2.0) / (n - 2.0) / surface_measure(n)
-    return out
-
-
-def _circle_zonal(degrees, t) -> np.ndarray:
-    """Z_s(t) on the circle at integer degrees broadcast against t in [-1, 1]."""
-    out = degrees * np.arccos(t)
-    np.cos(out, out=out)
-    out /= math.pi
-    out[np.broadcast_to(degrees == 0, out.shape)] = 0.5 / math.pi
-    return out
+        return out
+    a, b, _ = _gegenbauer_family(s_max, (n - 2) / 2.0)
+    out = _orthonormal_table(np.append(t, 1.0), a, b, np.ones_like)
+    out *= out[:, -1:] / surface_measure(n)
+    return out[:, :-1].reshape((s_max + 1,) + t.shape)
 
 
 def zonal(n: int, s: int, t):

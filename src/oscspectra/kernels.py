@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .harmonics import _circle_zonal, zonal_table
+from .harmonics import zonal_table
+from .quadrature import _TENSOR_CAP, _check_size
 from .special_functions import hermite_table, laguerre_antidiagonal_table
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "kernel_bench",
 ]
 
-_INDEX_CAP = 10**7
 # Polar summands below e^-700 (about 1e-304) are dropped: np.exp is many
 # times slower where its result would be subnormal.
 _LOG_DROP = -700.0
@@ -58,11 +58,7 @@ def multi_indices(n: int, m: int) -> list[tuple[int, ...]]:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
-    count = multi_index_count(n, m)
-    if count > _INDEX_CAP:
-        raise ResourceLimitError(
-            f"{count} multi-indices for (n={n}, m={m}) exceeds cap {_INDEX_CAP}"
-        )
+    _check_size(f"multi-index list (n={n}, m={m})", multi_index_count(n, m), _TENSOR_CAP)
     return list(_gen(n, m))
 
 
@@ -169,8 +165,7 @@ def phi_polar_values(n: int, m: int, x, y) -> np.ndarray:
         logs = np.multiply.outer(s, np.log(ru))  # log (ru)^s
         logs[s == 0] = 0.0  # (ru)^0 = 1, also at ru = 0
         logs += _log_polar_norms(kmax, a)[:, None]
-        # row k holds Z_{m-2k}; n = 2 forms only these rows, n >= 3 recurs through all
-        z = _circle_zonal(s[:, None], np.clip(t, -1.0, 1.0)) if n == 2 else zonal_table(n, m, t)[m::-2]
+        z = zonal_table(n, m, t)[m::-2]  # row k holds Z_{m-2k}
         signs = np.sign(z)
         logs += np.log(np.abs(z))
         del z  # the full zonal table goes before the Laguerre table is built

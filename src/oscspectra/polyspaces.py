@@ -8,7 +8,9 @@ d_m + d_{m-2} + ... = dim P_m.
 H_alpha = 2^{|alpha|} e^{-Delta/4} x^alpha, and e^{-Delta/4}(|x|^{2k} h) =
 (-1)^k k! L_k^{(s+n/2-1)}(|x|^2) h for h harmonic of degree s, so both
 spans are e^{-Delta/4} P_m^hom once their degree-m blocks have full rank.
-``spans_equal`` compares any two spans by exact ranks over Q.
+That rank is read off pivots of the Laplacian powers the heat check forms,
+with no elimination.  ``spans_equal`` compares any two spans by exact ranks
+over Q.
 
 Monomial ordering is graded lexicographic (total degree ascending, then
 exponent tuples descending), recorded in the CSV header so dumped matrices
@@ -28,7 +30,8 @@ import numpy as np
 from ._tables import write_table
 from .errors import ResourceLimitError
 from .harmonics import dim_harmonic
-from .kernels import multi_indices
+from .kernels import multi_index_count, multi_indices
+from .quadrature import _TENSOR_CAP, _check_size
 
 __all__ = [
     "PolySpan",
@@ -76,10 +79,12 @@ class PolySpan:
 
 
 def _check_caps(n: int, m: int) -> None:
-    if n > 3:
-        raise ResourceLimitError(f"span construction is capped at n <= 3, got n={n}")
+    """Refuse a span past m = 12 (the coefficients of H_23 pass 2^53) or
+    one whose matrix, dim P_m^hom rows x dim P_m columns, passes the size
+    cap, before anything is built."""
     if m > _MAX_DEGREE:
         raise ResourceLimitError(f"span construction is capped at m <= {_MAX_DEGREE}, got m={m}")
+    _check_size(f"span matrix (n={n}, m={m})", multi_index_count(n, m) * math.comb(n + m, n), _TENSOR_CAP)
 
 
 @lru_cache(maxsize=None)
@@ -272,20 +277,30 @@ def _laplacian_matrix(n: int, d: int) -> np.ndarray:
     return lap
 
 
-def _heat_normal(span: PolySpan) -> bool:
-    """True iff every row is an integer row equal to e^{-Delta/4} of its
-    degree-m block r_m: the blocks at odd degree offsets are 0, and
-    4^j j! r_{m-2j} = (-1)^j Delta^j r_m.  All rows go through each
-    Laplacian at once in float64; |r_m| Delta^j bounds every partial sum,
-    so below 2^53 each product is exact, and past it this raises."""
+def _last_nonzero(term: np.ndarray) -> np.ndarray:
+    """Per row, the index of its last nonzero column, or -1 for a zero row."""
+    nonzero = term[:, ::-1] != 0
+    return np.where(nonzero.any(axis=1), term.shape[1] - 1 - nonzero.argmax(axis=1), -1)
+
+
+def _heat_normal(span: PolySpan):
+    """Two pivot keys per row of the degree-m block r_m if every row is an
+    integer row equal to e^{-Delta/4} r_m, else None.  That is, the blocks
+    at odd degree offsets are 0, and 4^j j! r_{m-2j} = (-1)^j Delta^j r_m.
+    All rows go through each Laplacian at once in float64; |r_m| Delta^j
+    bounds every partial sum, so below 2^53 each product is exact, and past
+    it this raises.  The keys are the last nonzero column of r_m, and the
+    pair (K, last nonzero column of Delta^K r_m), K the largest power with
+    Delta^K r_m != 0, encoded as K dim + column; -1 marks a zero row."""
     n, m, mat = span.n, span.m, span.matrix
     if np.any(mat % 1):  # also true at inf and nan
-        return False
+        return None
     start = [math.comb(n - 1 + d, n) for d in range(m + 2)]  # first column of each degree
     if any(mat[:, start[d] : start[d + 1]].any() for d in range(m - 1, -1, -2)):
-        return False
+        return None
     term = mat[:, start[m] :]
-    size = np.abs(term)
+    size, dim = np.abs(term), term.shape[1]
+    first = graded = _last_nonzero(term)
     for j in range(1, m // 2 + 1):
         lap = _laplacian_matrix(n, m - 2 * j + 2)
         size = size @ lap
@@ -295,24 +310,41 @@ def _heat_normal(span: PolySpan) -> bool:
         block = mat[:, start[m - 2 * j] : start[m - 2 * j + 1]]
         # an integer side at or past 2^53 can round, but not onto one below it
         if not np.array_equal(4**j * math.factorial(j) * block, (-1) ** j * term):
-            return False
-    return True
+            return None
+        cols = _last_nonzero(term)
+        graded = np.where(cols >= 0, j * dim + cols, graded)
+    return first, graded
+
+
+def _certify(span: PolySpan, dim: int) -> tuple[bool, int]:
+    """Whether the span is in heat normal form, and the rank of its degree-m
+    block: read off the pivot keys of ``_heat_normal`` when either set has
+    distinct keys and no zero row, else by exact elimination.
+
+    Either test proves the rows independent: in a vanishing combination,
+    Delta^{K*} for its largest K* leaves rows with distinct last nonzero
+    columns.  The first keys certify Hermite, whose rows are 2^m x^alpha;
+    the graded keys certify Laguerre, since Delta^k(|x|^{2k} h) = c h and
+    the last monomial x_1^eps q of each h_{eps,q} differs."""
+    keys = _heat_normal(span)
+    if keys is not None and any((k >= 0).all() and len(set(k.tolist())) == len(k) for k in keys):
+        return True, len(span.matrix)
+    return keys is not None, _exact_rank(_integer_rows(span.matrix[:, -dim:]))
 
 
 def heat_certificate(a: PolySpan, b: PolySpan) -> SpanComparison:
     """Exact certificate that both spans are e^{-Delta/4} P_m^hom, hence
     equal: every row of each is in heat normal form, and each degree-m
     block has full rank dim P_m^hom.  The ranks are those of the degree-m
-    blocks over Q, which are the spans' ranks in heat normal form; the
-    stacked one takes a third elimination only below full rank."""
+    blocks, which are the spans' ranks in heat normal form; they are read
+    off (``_certify``), and only a block that the read-off cannot certify,
+    and the stacked blocks below full rank, take an elimination over Q."""
     if (a.n, a.m, a.monomials) != (b.n, b.m, b.monomials):
         raise ValueError("spans must share dimension, degree, and monomial order")
     dim = math.comb(a.n - 1 + a.m, a.n - 1)
-    heat = _heat_normal(a) and _heat_normal(b)
-    ta, tb = (_integer_rows(s.matrix[:, -dim:]) for s in (a, b))
-    ra, rb = _exact_rank(ta), _exact_rank(tb)
-    rs = dim if ra == rb == dim else _exact_rank(ta + tb)
-    return SpanComparison(heat and ra == rb == rs == dim, ra, rb, rs)
+    (ha, ra), (hb, rb) = _certify(a, dim), _certify(b, dim)
+    rs = dim if ra == rb == dim else _exact_rank(_integer_rows(a.matrix[:, -dim:]) + _integer_rows(b.matrix[:, -dim:]))
+    return SpanComparison(ha and hb and ra == rb == rs == dim, ra, rb, rs)
 
 
 def dimension_identity(n: int, m: int) -> tuple[int, int]:

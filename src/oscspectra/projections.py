@@ -28,6 +28,7 @@ from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
 from .harmonics import SWEEP_BLOCK, SolidHarmonic, _chain, dim_harmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
+    _check_size,
     _polar_grid,
     _polar_sphere,
     _TENSOR_CAP,
@@ -146,8 +147,7 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     _TENSOR_CAP entries raises ResourceLimitError before it is allocated.
     """
     n = f.n
-    if (m_max + 1) ** n > _TENSOR_CAP:
-        raise ResourceLimitError(f"hermite coefficient tensor to m_max={m_max} at n={n} exceeds {_TENSOR_CAP} entries")
+    _check_size(f"hermite coefficient tensor to m_max={m_max} at n={n}", (m_max + 1) ** n, _TENSOR_CAP)
     line = gauss_hermite(LINE_N if f.degree is None else (f.degree + m_max) // 2 + 1)
     c = f(tensor_rule(line, n).nodes).reshape((len(line.nodes),) * n)
     a = hermite_table(m_max, line.nodes) * line.weights

@@ -49,6 +49,9 @@ __all__ = [
 LINE_N = 64
 RADIAL_N = 80
 
+# The one cap on the size of what is allocated at once: the nodes of a
+# sphere or tensor rule or a radial x sphere grid, the Hermite coefficient
+# tensor, a list of multi-indices, and a span matrix (rows x monomials).
 _TENSOR_CAP = 10**7
 
 # Largest rules whose full Gram check (every psi_j psi_k, j, k < N) passes
@@ -124,11 +127,12 @@ def _golub_welsch(a, b, psi0):
 
 
 def _check_size(name: str, n: int, cap: int) -> None:
-    """Refuse a rule of n nodes unless 1 <= n <= cap, before it is allocated."""
+    """Refuse an object of n nodes or entries unless 1 <= n <= cap, before
+    it is allocated."""
     if n < 1:
         raise ValueError(f"{name} requires n >= 1")
     if n > cap:
-        raise ResourceLimitError(f"{name} of {n} nodes exceeds the {cap}-node cap")
+        raise ResourceLimitError(f"{name} of size {n} exceeds the cap {cap}")
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,9 @@ three-term recurrences on the normalized functions directly, so no bare
 polynomial value or Gamma ratio is ever formed; this keeps k up to a few
 hundred inside double-precision range.  One generator runs the orthonormal
 Hermite, Laguerre and Gegenbauer families, for these tables and for the
-Gauss rules of ``quadrature``; the Gegenbauer family, with Legendre as its
-lam = 1/2 case, also drives the harmonic chain of ``harmonics``.
+Gauss rules of ``quadrature``; the Gegenbauer family, with Chebyshev and
+Legendre as its lam = 0 and lam = 1/2 cases, also drives the harmonic chain
+and the zonal harmonics of ``harmonics``.
 """
 
 from __future__ import annotations
@@ -69,25 +70,29 @@ def _laguerre_family(kmax: int, beta: float):
 
 def _gegenbauer_b(k, lam):
     """b_k of the orthonormal Gegenbauer family of parameter lam, elementwise
-    over arrays of k and lam (the harmonic chain takes one lam per row)."""
-    return np.sqrt(k * (k + 2 * lam - 1)) / np.sqrt(4 * (k + lam) * (k + lam - 1))
+    over arrays of k and lam (the harmonic chain takes one lam per row).  At
+    lam = 0 the formula gives b_1 = 0/0; its limit, Chebyshev's 1/sqrt(2),
+    takes that place."""
+    with np.errstate(invalid="ignore"):
+        b = np.sqrt(k * (k + 2 * lam - 1)) / np.sqrt(4 * (k + lam) * (k + lam - 1))
+    return np.where((k == 1) & (lam == 0), math.sqrt(0.5), b)
 
 
 def _gegenbauer_p0(lam: float) -> float:
     """p_0 = (integral of (1-t^2)^{lam-1/2} over [-1, 1])^{-1/2}, the
     integral being sqrt(pi) Gamma(lam+1/2) / Gamma(lam+1).  lam is taken
-    down to (0, 1] by Gamma(x+1) = x Gamma(x), since a difference of
+    down to [0, 1] by Gamma(x+1) = x Gamma(x), since a difference of
     log-Gammas would cancel to about 1e-14 relative from lam of 40 on."""
-    base = lam - math.ceil(lam) + 1.0
+    base = lam - max(math.ceil(lam), 1) + 1.0
     ratio = math.prod((base + x) / (base + x - 0.5) for x in range(1, math.ceil(lam)))
     return math.sqrt(ratio * math.gamma(base + 1.0) / (math.sqrt(math.pi) * math.gamma(base + 0.5)))
 
 
 def _gegenbauer_family(kmax: int, lam: float):
     """Orthonormal Gegenbauer polynomials p_k, w = (1-t^2)^{lam-1/2} on
-    [-1, 1], lam > 0; Legendre is lam = 1/2.  The rows are the polynomials
-    themselves (psi_k = p_k), so a Gauss rule of this family keeps the
-    weight function in its weights."""
+    [-1, 1], lam >= 0; Chebyshev is lam = 0 and Legendre lam = 1/2.  The
+    rows are the polynomials themselves (psi_k = p_k), so a Gauss rule of
+    this family keeps the weight function in its weights."""
     b = _gegenbauer_b(np.arange(1.0, kmax + 1), lam).tolist()
     return [0.0] * kmax, b, lambda x, p0=_gegenbauer_p0(lam): np.full_like(x, p0)
 

@@ -127,10 +127,18 @@ def test_kernel_rows_and_agreement(capsys):
     assert all(int(r["terms_polar"]) == 4 for r in rows)
 
 
-def test_resource_cap_exit_code(capsys):
-    code, _, err = run_cli(["dims", "--n", "4", "--dump-span", "hermite", "--m", "2"], capsys)
+def _refuse_span_building(monkeypatch):
+    import oscspectra.polyspaces as ps
+
+    monkeypatch.setattr(ps, "monomials", lambda *args: pytest.fail("a span past the size cap was built"))
+
+
+def test_resource_cap_exit_code(monkeypatch, capsys):
+    # the n = 6, m = 9 span matrix has 10,020,010 entries, past the 10^7 cap
+    _refuse_span_building(monkeypatch)
+    code, _, err = run_cli(["dims", "--n", "6", "--dump-span", "hermite", "--m", "9"], capsys)
     assert code == 3
-    assert "resource cap" in err
+    assert "resource cap" in err and "span matrix" in err
 
 
 @pytest.mark.parametrize("m", (40, 80))
@@ -497,11 +505,24 @@ def test_dims_spans_planted_failure_exits_1(monkeypatch, capsys):
     assert [r["spans_equal"] for r in parse_csv(out)] == ["1", "1", "1", "1", "0", "1", "1"]
 
 
-def test_dims_spans_beyond_cap_exits_3(capsys):
-    code, out, err = run_cli(["dims", "--n", "4", "--m-max", "2", "--spans"], capsys)
+def test_dims_spans_beyond_cap_exits_3(monkeypatch, capsys):
+    # the span ranks stop at m = 8, whose matrix at n = 7 has 3,003 x 6,435
+    # entries, past the 10^7 cap; it is refused before any span is built
+    _refuse_span_building(monkeypatch)
+    code, out, err = run_cli(["dims", "--n", "7", "--m-max", "8", "--spans"], capsys)
     assert code == 3
     assert out == ""
     assert "resource cap" in err
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_dims_spans_certify_past_n3(n, capsys):
+    code, out, _ = run_cli(["dims", "--n", str(n), "--m-max", "8", "--spans"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    assert len(rows) == 9 and all(r["spans_equal"] == "1" for r in rows)
+    for r in rows:
+        assert r["rank_hermite"] == r["rank_laguerre"] == r["rank_stacked"] == r["dim_poly"]
 
 
 def test_dims_dump_span(tmp_path, capsys):
@@ -530,6 +551,16 @@ def test_dump_rule_standalone(capsys):
     assert code == 0
     assert out.startswith("# domain: radial(beta=1.5)")
     assert len(out.splitlines()) == 3 + 6
+
+
+def test_dump_rule_with_a_subcommand_is_usage_error(capsys):
+    # the rule alone would be printed and the subcommand silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(["--dump-rule", "sphere:n=2,degree=2", "verify", "--n", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--dump-rule" in err and "verify" in err
 
 
 def test_dump_rule_unknown_kind(capsys):
@@ -608,6 +639,26 @@ def test_unwritable_output_is_usage_error_naming_the_path(name, tmp_path, capsys
     assert exc.value.code == 2
     assert str(path) in err and "Traceback" not in err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["verify", "--n", "3"], "run_suite"),
+        (["decay", "--n", "4"], "coefficient_decay_probe"),
+        (["dims", "--n", "3", "--spans"], "heat_certificate"),
+        (["--dump-rule", "sphere:n=3,degree=4"], "sphere_rule"),
+    ],
+)
+def test_unwritable_output_fails_before_the_work(argv, work, tmp_path, monkeypatch, capsys):
+    import oscspectra.cli as cli_module
+
+    monkeypatch.setattr(cli_module, work, lambda *args, **kw: pytest.fail(f"{work} ran"))
+    path = tmp_path / "missing" / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(path)])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(set(_TABLES) - {"verify"}))

@@ -14,6 +14,7 @@ from oscspectra.harmonics import (
     zonal_table,
 )
 from oscspectra.quadrature import sphere_rule
+from oscspectra.special_functions import gegenbauer
 
 from _oracles import fd_laplacian, solid_harmonic_rows
 
@@ -63,6 +64,22 @@ def test_zonal_at_coincident_poles():
         for s in (0, 1, 2, 5, 9):
             want = dim_harmonic(n, s) / surface_measure(n)
             assert zonal(n, s, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_zonal_table_matches_the_closed_forms(n):
+    # cos(s arccos t)/pi on the circle, ((2s+n-2)/(n-2)) C_s^{(n-2)/2}(t)/omega_n
+    # above; t = 0 zeroes the odd degrees, so each row is compared relative
+    # to its largest value
+    t = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(40 + n).uniform(-1, 1, 20)])
+    s = np.arange(41)[:, None]
+    if n == 2:
+        want = np.where(s == 0, 0.5, np.cos(s * np.arccos(t))) / math.pi
+    else:
+        lam = (n - 2) / 2.0
+        want = np.array([(2 * k + n - 2) / (n - 2) * gegenbauer(k, lam, t) for k in range(41)]) / surface_measure(n)
+    got = zonal_table(n, 40, t)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max(axis=1, keepdims=True))
 
 
 def test_zonal_n1_branches():

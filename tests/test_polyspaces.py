@@ -179,7 +179,7 @@ def _assert_plant_fails(n):
         assert heat_certificate(a, b).equal == spans_equal(a, b).equal == (m < 2), m
 
 
-@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_span_row_fails_on_wrong_laguerre_order(n, monkeypatch, fresh_spans):
     # L_k^{beta + 1/2} in place of L_k^beta; the two agree only at k = 0
     coeffs = ps._laguerre_coeffs_frac
@@ -187,7 +187,7 @@ def test_span_row_fails_on_wrong_laguerre_order(n, monkeypatch, fresh_spans):
     _assert_plant_fails(n)
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_span_row_fails_on_non_harmonic_basis_element(n, monkeypatch, fresh_spans):
     # x1^s in place of the first harmonic of each degree s >= 2
     basis = ps._harmonic_basis
@@ -208,16 +208,41 @@ def test_heat_certificate_refuses_rows_past_2_53():
         heat_certificate(PolySpan(2, 2, a.monomials, a.matrix * 2.0**50, a.labels), a)
 
 
-def test_span_row_ranks_only_square_top_blocks(monkeypatch):
-    # two eliminations per degree, on the dim P_m^hom square degree-m
-    # blocks; spans_equal took three per degree on all of P_m (at m = 8:
-    # 45 x 165, 45 x 165 and 90 x 165)
+def _count_eliminations(monkeypatch):
     shapes, rank = [], ps._exact_rank
     monkeypatch.setattr(ps, "_exact_rank", lambda rows: shapes.append((len(rows), len(rows[0]))) or rank(rows))
+    return shapes
+
+
+def test_span_row_ranks_only_square_top_blocks(monkeypatch):
+    # the ranks of the square degree-m blocks are read off their Laplacian
+    # pivots, so the row runs no elimination at all
+    shapes = _count_eliminations(monkeypatch)
     assert check_spans(3, 8, DEFAULT_TOLERANCES["eq_spans"]).passed
-    dims = [math.comb(m + 2, 2) for m in range(9)]
-    assert shapes == [(d, d) for d in dims for _ in range(2)]
-    assert sum(r * c for r, c in shapes) <= 2 * sum(d * d for d in dims)
+    assert shapes == []
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_certified_spans_run_no_elimination(n, monkeypatch):
+    shapes = _count_eliminations(monkeypatch)
+    for m in range(9):
+        dim = math.comb(n - 1 + m, n - 1)
+        result = heat_certificate(hermite_span(n, m), laguerre_harmonic_span(n, m))
+        assert (result.equal, result.rank_a, result.rank_b, result.rank_stacked) == (True, dim, dim, dim)
+    assert shapes == []
+
+
+def test_duplicated_laguerre_row_falls_back_to_exact_ranks(monkeypatch):
+    # a repeated row defeats the pivot read-off; the block then gets its
+    # exact rank, and the stacked blocks theirs
+    n, m = 3, 6
+    a, b = hermite_span(n, m), laguerre_harmonic_span(n, m)
+    planted = b.matrix.copy()
+    planted[1] = planted[0]
+    shapes = _count_eliminations(monkeypatch)
+    result = heat_certificate(a, PolySpan(n, m, b.monomials, planted, b.labels))
+    assert (result.equal, result.rank_a, result.rank_b, result.rank_stacked) == (False, 28, 27, 28)
+    assert shapes == [(28, 28), (56, 28)]
 
 
 def _laplacian_oracle(poly):
@@ -286,11 +311,18 @@ def test_dimension_identity_exact_everywhere():
             assert lhs == rhs
 
 
-def test_span_caps():
+def test_span_caps(monkeypatch):
     with pytest.raises(ResourceLimitError):
         hermite_span(2, 13)
-    with pytest.raises(ResourceLimitError):
-        laguerre_harmonic_span(4, 2)
+    # n = 6 admits m = 8 (1,287 x 3,003 = 3,864,861 entries) and refuses
+    # m = 9 (2,002 x 5,005 = 10,020,010) at the size cap, before any
+    # monomial or harmonic is listed
+    ps._check_caps(6, 8)
+    monkeypatch.setattr(ps, "monomials", lambda *args: pytest.fail("a span past the cap was built"))
+    monkeypatch.setattr(ps, "_harmonic_basis", lambda *args: pytest.fail("a span past the cap was built"))
+    for build in (hermite_span, laguerre_harmonic_span):
+        with pytest.raises(ResourceLimitError, match="10020010"):
+            build(6, 9)
 
 
 def test_span_csv_header():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,26 @@ def test_high_degree_evaluations_stay_finite():
     assert math.isfinite(hermite_fn(150, 3.0))
     assert math.isfinite(laguerre_fn(150, 0.5, 5.0))
     assert abs(hermite_fn(150, 3.0)) < 1.0  # normalized functions are bounded
+
+
+def test_gegenbauer_family_at_lam_zero_is_orthonormal_chebyshev():
+    # b_1 = 1/sqrt(2) and p_0 = pi^{-1/2}, the limits of the lam > 0 formulas,
+    # with no 0/0 warning; the rows are sqrt(2/pi) T_k for k >= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, psi0 = special_functions._gegenbauer_family(12, 0.0)
+        t = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(3).uniform(-1, 1, 20)])
+        rows = special_functions._orthonormal_table(t, a, b, psi0)
+        # the 12-node Gauss rule of the family is Gauss-Chebyshev: weights pi/12
+        nodes, weights = quadrature._golub_welsch(a, b, psi0)
+    gram = special_functions._orthonormal_table(nodes, a[:-1], b[:-1], psi0)
+    assert np.abs((gram * weights) @ gram.T - np.eye(12)).max() < 1e-14
+    assert np.abs(weights - math.pi / 12).max() < 1e-14
+    assert b[0] == pytest.approx(math.sqrt(0.5), rel=1e-15) and b[1:] == [0.5] * 11
+    assert special_functions._gegenbauer_p0(0.0) == pytest.approx(math.pi**-0.5, rel=1e-15)
+    k = np.arange(13)[:, None]
+    want = np.where(k == 0, 1.0, math.sqrt(2.0)) * np.cos(k * np.arccos(t)) / math.sqrt(math.pi)
+    assert np.abs(rows - want).max() < 1e-13
 
 
 def test_every_orthonormal_family_runs_through_the_one_recurrence(monkeypatch):
