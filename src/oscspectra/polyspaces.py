@@ -1,8 +1,13 @@
 """Exact verification that the degree-m Hermite-product span and the
 Laguerre-times-solid-harmonic span coincide as polynomial spaces, on
-integer monomial-coefficient matrices over a closed-form rational harmonic
-basis, with no threshold; plus the dimension bookkeeping
-d_m + d_{m-2} + ... = dim P_m.
+integer monomial-coefficient matrices, with no threshold; plus the
+dimension bookkeeping d_m + d_{m-2} + ... = dim P_m.
+
+The solid harmonics are built exactly by the Gelfand-Tsetlin chain that
+``harmonics.sph_table`` evaluates: each is an integer row over the
+monomials, a positive multiple of sph_table's row of the same index.  Every
+polynomial is such a float64 row, exact below 2^53, and a step whose bound
+reaches 2^53 is refused before it is computed.
 
 ``heat_certificate`` certifies the coincidence in heat normal form:
 H_alpha = 2^{|alpha|} e^{-Delta/4} x^alpha, and e^{-Delta/4}(|x|^{2k} h) =
@@ -23,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -128,91 +133,105 @@ def _laguerre_coeffs_frac(k: int, beta: Fraction) -> list[Fraction]:
     ]
 
 
-def _laplacian(poly: dict) -> dict:
-    """Laplacian of an exponent -> coefficient polynomial, exact."""
-    out = {}
-    for e, c in poly.items():
-        for axis, p in enumerate(e):
-            if p > 1:
-                key = e[:axis] + (p - 2,) + e[axis + 1 :]
-                out[key] = out.get(key, 0) + p * (p - 1) * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _times_r2(poly: dict) -> dict:
-    """The polynomial multiplied by |x|^2."""
-    out = {}
-    for e, c in poly.items():
-        for axis, p in enumerate(e):
-            key = e[:axis] + (p + 2,) + e[axis + 1 :]
-            out[key] = out.get(key, 0) + c
-    return out
+def _check_exact(bound, what: str) -> None:
+    """Refuse float64 integer arithmetic whose bound on every partial sum,
+    formed from absolute values before anything is computed, reaches 2^53:
+    below it every sum and product of integers is exact."""
+    if bound >= 2**53:
+        raise ResourceLimitError(f"{what} has an integer coefficient beyond 2^53")
 
 
 @lru_cache(maxsize=None)
-def _harmonic_basis(n: int, s: int) -> tuple:
-    """The d_s harmonics h_{eps,q} = sum_i (-1)^i eps!/(2i+eps)! x_1^{2i+eps}
-    (Delta')^i q of degree s, for eps in (0, 1) and q over the degree-(s-eps)
-    monomials in x_2..x_n (Axler, Bourdon & Ramey, Harmonic Function Theory,
-    ch. 5).  Delta h = 0 since the x_1 derivatives of term i cancel the
-    Delta' of term i-1.  Each is a tuple of (exponent, Fraction) pairs,
-    exponents descending."""
-    basis = []
-    for eps in range(min(s, 1) + 1):  # no q of degree s - eps = -1
-        # at n = 1 the one monomial in no variables is 1, of degree 0
-        qs = multi_indices(n - 1, s - eps) if n > 1 else [()] if s == eps else []
-        for q in qs:
-            h, term, i = {}, {q: Fraction(1)}, 0
-            while term:
-                a = Fraction((-1) ** i, math.factorial(2 * i + eps))
-                h.update(((2 * i + eps,) + e, a * c) for e, c in term.items())
-                term, i = _laplacian(term), i + 1
-            basis.append(tuple(sorted(h.items(), reverse=True)))
-    return tuple(basis)
+def _columns(n: int, d: int, axis: int, step: int) -> np.ndarray:
+    """For each degree-d monomial in n variables, in the order of
+    ``multi_indices``, the column of that monomial times x_axis^step among
+    the degree-(d + step) monomials; axis = n, step = 0 lifts it into
+    n + 1 variables."""
+    to = {e: i for i, e in enumerate(multi_indices(max(n, axis + 1), d + step))}
+    lifted = (e + (0,) * (axis + 1 - n) for e in multi_indices(n, d))
+    return np.array([to[e[:axis] + (e[axis] + step,) + e[axis + 1 :]] for e in lifted])
+
+
+def _times(rows: np.ndarray, n: int, d: int, axis: int, step: int = 1) -> np.ndarray:
+    """Rows over the degree-d monomials times x_axis^step (``_columns``)."""
+    out = np.zeros((len(rows), multi_index_count(max(n, axis + 1), d + step)))
+    if len(rows):
+        out[:, _columns(n, d, axis, step)] = rows
+    return out
+
+
+def _harmonic_sweep(n: int, s_max: int):
+    """The exact counterpart of ``harmonics._sweep``: yields (s, rows) for
+    every s <= s_max with d_s > 0, rows the integer coefficients over
+    ``multi_indices(n, s)`` of ``sph_table``'s degree-s rows, each times a
+    positive factor, in the same order: 1 and x_1 at n = 1, Re and Im of
+    (x_1 + i x_2)^s at n = 2, and above that R_j(x) h(x') over the rows h of
+    degree l = s - j one dimension down, with R_j = j! |x|^j C_j^lam(x_n/|x|)
+    and 2 lam = 2l + n - 2, by R_{j+1} = (2j + 2 lam) x_n R_j -
+    j(j + 2 lam - 1) |x|^2 R_{j-1}.  New rows enter last, as in ``_chain``."""
+    if n == 1:
+        yield from ((s, np.ones((1, 1))) for s in range(min(s_max, 1) + 1))
+        return
+    if n == 2:
+        # sph_table's rotation step in closed form: x_1^{s-k} x_2^k has the
+        # coefficient C(s, k) i^k in (x_1 + i x_2)^s
+        for s in range(s_max + 1):
+            _check_exact(math.comb(s, s // 2), "a solid harmonic")
+            c = np.array([math.comb(s, k) for k in range(s + 1)]) * np.array([1, 1j, -1, -1j])[np.arange(s + 1) % 4]
+            yield s, np.array([c.real, c.imag])[: min(s + 1, 2)]
+        return
+    older = prev = np.zeros((0, 0))
+    for s, rows in _harmonic_sweep(n - 1, s_max):
+        # a = 2j + 2 lam is 2s + n - 4 on every row of degree s - 1; the
+        # |x|^2 term, b = j(j + 2 lam - 1), reads the rows of degree s - 2,
+        # those of l <= s - 2, where j >= 1
+        a = 2 * s + n - 4
+        ell = np.repeat(np.arange(s - 1), [dim_harmonic(n - 1, l) for l in range(s - 1)])
+        b = ((s - 1 - ell) * (s + ell + n - 4))[:, None]
+        _check_exact(a * np.abs(prev).max(initial=0) + n * (b * np.abs(older)).max(initial=0), "a solid harmonic")
+        cur = np.concatenate((a * _times(prev, n, s - 1, n - 1), _times(rows, n - 1, s, n - 1, 0)))
+        cur[: len(older)] -= b * sum(_times(older, n, s - 2, axis, 2) for axis in range(n))
+        older, prev = prev, cur
+        yield s, cur
 
 
 def solid_harmonic_poly(n: int, s: int, j: int) -> tuple:
-    """The j-th (1-based) exact degree-s solid harmonic of the closed-form
-    basis, as (exponent, Fraction) pairs over monomials of degree s."""
-    return _harmonic_basis(n, s)[j - 1]
-
-
-def _primitive_row(poly: dict, col: dict) -> np.ndarray:
-    """The primitive integer multiple of a rational polynomial as a float
-    row over the columns ``col``, exact while every entry is below 2^53."""
-    den = math.lcm(*(c.denominator for c in poly.values()))
-    ints = {e: int(c * den) for e, c in poly.items()}
-    g = math.gcd(*ints.values())
-    if max(map(abs, ints.values())) >= g * 2**53:
-        raise ResourceLimitError("a span generator has an integer coefficient beyond 2^53")
-    row = np.zeros(len(col))
-    row[[col[e] for e in ints]] = [v // g for v in ints.values()]
-    return row
+    """The j-th (1-based) exact degree-s solid harmonic: row j of
+    ``sph_table`` times a positive factor, as (exponent, int) pairs over the
+    monomials of degree s, exponents descending."""
+    row = dict(_harmonic_sweep(n, s))[s][j - 1]
+    return tuple((e, int(c)) for e, c in zip(multi_indices(n, s), row) if c)
 
 
 @lru_cache(maxsize=None)
 def laguerre_harmonic_span(n: int, m: int) -> PolySpan:
     """Span of L_k^{n/2-1+(m-2k)}(|x|^2) h_{m-2k,j}(x) over k <= m/2 and j,
-    with h the exact harmonic basis; each generator is its primitive
-    integer row, and the matrix is read-only."""
+    with h_{s,j} the exact harmonics of ``solid_harmonic_poly``, so j is the
+    row of ``sph_basis(n, s)``; each generator is its primitive integer
+    row, and the matrix is read-only."""
     _check_caps(n, m)
     monos = monomials(n, m)
-    col = {e: i for i, e in enumerate(monos)}
-    rows, labels = [], []
-    for k in range(m // 2 + 1):
-        s = m - 2 * k
-        beta = Fraction(n, 2) - 1 + s
+    start = [math.comb(n - 1 + d, n) for d in range(m + 2)]  # first column of each degree
+    # sum over k of d_{m-2k} is dim P_m^hom; k ascends down the rows, so the
+    # sweep's ascending degrees fill them from the last up
+    matrix = np.zeros((multi_index_count(n, m), len(monos)))
+    end, labels = len(matrix), []
+    for s, h in islice(_harmonic_sweep(n, m), m % 2, None, 2):  # n = 1 stops at s = 1
+        k, beta = (m - s) // 2, Fraction(n, 2) - 1 + s
         lag = _laguerre_coeffs_frac(k, beta)
-        for j, h in enumerate(_harmonic_basis(n, s), 1):
-            poly, term = {}, dict(h)
-            for i, c in enumerate(lag):
-                if i:
-                    term = _times_r2(term)
-                for e, v in term.items():
-                    poly[e] = poly.get(e, 0) + c * v
-            rows.append(_primitive_row(poly, col))
-            labels.append(f"L{k}^[{beta}]*h_{s}_{j}")
-    matrix = np.array(rows)
+        den = math.lcm(*(c.denominator for c in lag))
+        coeffs = [int(c * den) for c in lag]
+        # |x|^{2i} h has entries at most n^i max|h|
+        _check_exact(max(abs(c) * n**i for i, c in enumerate(coeffs)) * np.abs(h).max(), "a span generator")
+        rows = matrix[end - len(h) : end]
+        for i, c in enumerate(coeffs):
+            if i:
+                h = sum(_times(h, n, s + 2 * i - 2, axis, 2) for axis in range(n))
+            rows[:, start[s + 2 * i] : start[s + 2 * i + 1]] = c * h
+        # the primitive rows: each quotient is an integer, so exact
+        rows /= np.gcd.reduce(rows[:, start[s] :].astype(np.int64), axis=1)[:, None]
+        end -= len(h)
+        labels[:0] = (f"L{k}^[{beta}]*h_{s}_{j}" for j in range(1, len(h) + 1))
     matrix.flags.writeable = False
     return PolySpan(n, m, tuple(monos), matrix, tuple(labels))
 
@@ -250,13 +269,22 @@ def _integer_rows(matrix: np.ndarray) -> list:
     return out
 
 
+def _check_pair(a: PolySpan, b: PolySpan) -> None:
+    """Refuse two spans that differ in n, m or monomials, or a span with a
+    coefficient that is inf or NaN, naming its generator."""
+    if (a.n, a.m, a.monomials) != (b.n, b.m, b.monomials):
+        raise ValueError("spans must share dimension, degree, and monomial order")
+    bad = [span.labels[i] for span in (a, b) for i in np.flatnonzero(~np.isfinite(span.matrix).all(axis=1))]
+    if bad:
+        raise ValueError(f"span generator {bad[0]} has a non-finite coefficient")
+
+
 def spans_equal(a: PolySpan, b: PolySpan, tol: float = 1e-10) -> SpanComparison:
     """True iff the two generator spans coincide: equal ranks that survive
     stacking, computed exactly over Q from the float rows taken as the
     dyadic rationals they are.  ``tol`` is no longer read; it stays for
     callers that pass it."""
-    if (a.n, a.m, a.monomials) != (b.n, b.m, b.monomials):
-        raise ValueError("spans must share dimension, degree, and monomial order")
+    _check_pair(a, b)
     ia, ib = _integer_rows(a.matrix), _integer_rows(b.matrix)
     ra, rb, rs = _exact_rank(ia), _exact_rank(ib), _exact_rank(ia + ib)
     return SpanComparison(ra == rb == rs, ra, rb, rs)
@@ -267,12 +295,10 @@ def _laplacian_matrix(n: int, d: int) -> np.ndarray:
     """The Laplacian from degree-d to degree-(d-2) monomials as a read-only
     (dim P_d^hom, dim P_{d-2}^hom) matrix of nonnegative integers, both in
     the order of ``multi_indices``."""
-    col = {e: i for i, e in enumerate(multi_indices(n, d - 2))}
-    rows = multi_indices(n, d)
-    lap = np.zeros((len(rows), len(col)))
-    for i, e in enumerate(rows):
-        for key, c in _laplacian({e: 1}).items():
-            lap[i, col[key]] = c
+    lower = np.array(multi_indices(n, d - 2))
+    lap = np.zeros((multi_index_count(n, d), len(lower)))
+    for axis, p in enumerate(lower.T):
+        lap[_columns(n, d - 2, axis, 2), np.arange(len(lower))] = (p + 2) * (p + 1)
     lap.flags.writeable = False
     return lap
 
@@ -293,7 +319,7 @@ def _heat_normal(span: PolySpan):
     pair (K, last nonzero column of Delta^K r_m), K the largest power with
     Delta^K r_m != 0, encoded as K dim + column; -1 marks a zero row."""
     n, m, mat = span.n, span.m, span.matrix
-    if np.any(mat % 1):  # also true at inf and nan
+    if np.any(mat % 1):
         return None
     start = [math.comb(n - 1 + d, n) for d in range(m + 2)]  # first column of each degree
     if any(mat[:, start[d] : start[d + 1]].any() for d in range(m - 1, -1, -2)):
@@ -304,8 +330,7 @@ def _heat_normal(span: PolySpan):
     for j in range(1, m // 2 + 1):
         lap = _laplacian_matrix(n, m - 2 * j + 2)
         size = size @ lap
-        if size.max() >= 2**53:
-            raise ResourceLimitError("a span generator is beyond 2^53 for the exact heat normal form check")
+        _check_exact(size.max(), "a span generator's Laplacian")
         term = term @ lap
         block = mat[:, start[m - 2 * j] : start[m - 2 * j + 1]]
         # an integer side at or past 2^53 can round, but not onto one below it
@@ -325,7 +350,11 @@ def _certify(span: PolySpan, dim: int) -> tuple[bool, int]:
     Delta^{K*} for its largest K* leaves rows with distinct last nonzero
     columns.  The first keys certify Hermite, whose rows are 2^m x^alpha;
     the graded keys certify Laguerre, since Delta^k(|x|^{2k} h) = c h and
-    the last monomial x_1^eps q of each h_{eps,q} differs."""
+    the last nonzero column of each chain row h differs: in lex order the
+    last monomial of a product is the product of the last ones, that of
+    R_j is x_n^j, and at n = 2 those of Re and Im are x_1^eps x_2^{s-eps}
+    with different eps, so row R_j h ends in x_1^eps x_2^{a_2} .. x_n^{a_n},
+    and the chain indices fix those exponents."""
     keys = _heat_normal(span)
     if keys is not None and any((k >= 0).all() and len(set(k.tolist())) == len(k) for k in keys):
         return True, len(span.matrix)
@@ -339,8 +368,7 @@ def heat_certificate(a: PolySpan, b: PolySpan) -> SpanComparison:
     blocks, which are the spans' ranks in heat normal form; they are read
     off (``_certify``), and only a block that the read-off cannot certify,
     and the stacked blocks below full rank, take an elimination over Q."""
-    if (a.n, a.m, a.monomials) != (b.n, b.m, b.monomials):
-        raise ValueError("spans must share dimension, degree, and monomial order")
+    _check_pair(a, b)
     dim = math.comb(a.n - 1 + a.m, a.n - 1)
     (ha, ra), (hb, rb) = _certify(a, dim), _certify(b, dim)
     rs = dim if ra == rb == dim else _exact_rank(_integer_rows(a.matrix[:, -dim:]) + _integer_rows(b.matrix[:, -dim:]))

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -9,10 +10,9 @@ import pytest
 import oscspectra.polyspaces as ps
 from oscspectra.errors import ResourceLimitError
 from oscspectra.harmonics import dim_harmonic, sph_table
+from oscspectra.kernels import multi_indices
 from oscspectra.polyspaces import (
     PolySpan,
-    _harmonic_basis,
-    _primitive_row,
     dimension_identity,
     heat_certificate,
     hermite_span,
@@ -21,6 +21,7 @@ from oscspectra.polyspaces import (
     solid_harmonic_poly,
     spans_equal,
 )
+from oscspectra.quadrature import sphere_rule
 from oscspectra.verify import DEFAULT_TOLERANCES, check_spans
 
 from _oracles import hermite_phys, laguerre_series
@@ -164,7 +165,8 @@ def test_heat_certificate_detects_perturbed_lower_hermite_coefficient(rel):
 @pytest.fixture
 def fresh_spans():
     # the span builders are memoized: plants must build their own spans,
-    # and leave none behind
+    # and leave none behind; so must a test that builds spans too large to
+    # keep cached for the rest of the test run
     for build in (hermite_span, laguerre_harmonic_span):
         build.cache_clear()
     yield
@@ -189,14 +191,21 @@ def test_span_row_fails_on_wrong_laguerre_order(n, monkeypatch, fresh_spans):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_span_row_fails_on_non_harmonic_basis_element(n, monkeypatch, fresh_spans):
-    # x1^s in place of the first harmonic of each degree s >= 2
-    basis = ps._harmonic_basis
+    # x1^s, the first column of multi_indices(n, s), in place of the first
+    # harmonic of each degree s >= 2 in R^n; the sweep one dimension down,
+    # which the chain reaches through the same name, is left as it is.  No
+    # harmonic is memoized, and fresh_spans drops the planted spans
+    sweep = ps._harmonic_sweep
 
-    def planted(n, s):
-        x1 = (((s,) + (0,) * (n - 1), Fraction(1)),)
-        return (x1,) + basis(n, s)[1:] if s >= 2 else basis(n, s)
+    def planted(dim, s_max):
+        for s, rows in sweep(dim, s_max):
+            if dim == n and s >= 2:
+                rows = rows.copy()
+                rows[0] = 0.0
+                rows[0, 0] = 1.0
+            yield s, rows
 
-    monkeypatch.setattr(ps, "_harmonic_basis", planted)
+    monkeypatch.setattr(ps, "_harmonic_sweep", planted)
     _assert_plant_fails(n)
 
 
@@ -222,8 +231,8 @@ def test_span_row_ranks_only_square_top_blocks(monkeypatch):
     assert shapes == []
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
-def test_certified_spans_run_no_elimination(n, monkeypatch):
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_certified_spans_run_no_elimination(n, monkeypatch, fresh_spans):
     shapes = _count_eliminations(monkeypatch)
     for m in range(9):
         dim = math.comb(n - 1 + m, n - 1)
@@ -245,45 +254,120 @@ def test_duplicated_laguerre_row_falls_back_to_exact_ranks(monkeypatch):
     assert shapes == [(28, 28), (56, 28)]
 
 
-def _laplacian_oracle(poly):
-    out = {}
-    for e, c in poly:
-        for axis, p in enumerate(e):
-            if p >= 2:
-                key = e[:axis] + (p - 2,) + e[axis + 1 :]
-                out[key] = out.get(key, 0) + p * (p - 1) * c
-    return {e: c for e, c in out.items() if c != 0}
+def _laplacian_oracle(rows, n, s):
+    # the Laplacian of integer rows over multi_indices(n, s), by the power
+    # rule on each exponent tuple
+    exps = multi_indices(n, s)
+    to = {e: i for i, e in enumerate(multi_indices(n, s - 2))} if s >= 2 else {}
+    out = np.zeros((len(rows), len(to)))
+    for axis in range(n):
+        src = [i for i, e in enumerate(exps) if e[axis] >= 2]
+        out[:, [to[exps[i][:axis] + (exps[i][axis] - 2,) + exps[i][axis + 1 :]] for i in src]] += (
+            rows[:, src] * [exps[i][axis] * (exps[i][axis] - 1) for i in src]
+        )
+    return out
 
 
 def test_exact_harmonic_basis_counts_and_is_harmonic():
     for n in range(1, 7):
+        sweep = dict(ps._harmonic_sweep(n, 8))
         for s in range(9):
-            basis = [solid_harmonic_poly(n, s, j) for j in range(1, dim_harmonic(n, s) + 1)]
-            assert len(basis) == len(_harmonic_basis(n, s)) == dim_harmonic(n, s)
-            # distinct lowest monomials x1^eps q make the basis independent
-            assert len({h[-1][0] for h in basis}) == len(basis)
-            for h in basis:
-                assert h and all(isinstance(c, Fraction) and sum(e) == s for e, c in h)
-                assert _laplacian_oracle(h) == {}
+            rows = sweep.get(s, np.zeros((0, len(multi_indices(n, s)))))
+            assert len(rows) == dim_harmonic(n, s)
+            # integer coefficients, exact in float64
+            assert np.array_equal(rows, np.round(rows)) and np.abs(rows).max(initial=0) < 2**53
+            assert not _laplacian_oracle(rows, n, s).any()
+            # distinct last monomials x1^eps x2^a2 .. xn^an make the rows independent
+            last = [max(np.flatnonzero(row)) for row in rows]
+            assert len(set(last)) == len(rows)
+            # solid_harmonic_poly gives row j, for every j at n <= 4
+            for j in range(1, len(rows) + 1) if n <= 4 else {1, len(rows)} if len(rows) else ():
+                poly = solid_harmonic_poly(n, s, j)
+                assert all(type(c) is int and c and sum(e) == s for e, c in poly)
+                assert poly == tuple((e, int(c)) for e, c in zip(multi_indices(n, s), rows[j - 1]) if c)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def _monomial_values(pts, exps):
+    # x^e at each point for each exponent tuple, gathered from power tables
+    out = np.ones((len(pts), len(exps)))
+    for axis, p in enumerate(np.array(exps).T):
+        out *= (pts[:, axis : axis + 1] ** np.arange(p.max() + 1))[:, p]
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_exact_harmonics_lie_in_sph_table_span(n):
-    # ties the exact basis to the float evaluator the projections use; more
-    # points than rows of any degree, so each fit is overdetermined
-    pts = np.random.default_rng(20).uniform(-1.0, 1.0, size=(50 + 2 * dim_harmonic(n, 8), n))
-    for s, rows in sph_table(n, 8, pts):
-        for j in range(1, dim_harmonic(n, s) + 1):
-            vals = sum(float(c) * np.prod(pts**e, axis=1) for e, c in solid_harmonic_poly(n, s, j))
-            sol, *_ = np.linalg.lstsq(rows.T, vals, rcond=None)
-            assert np.linalg.norm(rows.T @ sol - vals) <= 1e-12 * np.linalg.norm(vals), (n, s, j)
+    # ties the exact rows to the float evaluator the projections use: each,
+    # normalized on a sphere rule exact for its square, is sph_table's row
+    # of the same index and sign, for s <= 8 (s <= 6 at n = 6).  The rule is
+    # per degree and is read in blocks of nodes, which keeps n = 6 small
+    for s, rows in ps._harmonic_sweep(n, 8 if n < 6 else 6):
+        rule, exps = sphere_rule(n, 2 * s), multi_indices(n, s)
+        blocks = [slice(i, i + 4096) for i in range(0, len(rule.weights), 4096)]
+        norm2 = sum((rows @ _monomial_values(rule.nodes[b], exps).T) ** 2 @ rule.weights[b] for b in blocks)
+        for b in blocks:
+            for _, table in sph_table(n, s, rule.nodes[b]):
+                pass
+            vals = rows @ _monomial_values(rule.nodes[b], exps).T / np.sqrt(norm2)[:, None]
+            assert np.abs(vals - table).max() <= 1e-13, (n, s)
 
 
-def test_primitive_row_refuses_inexact_float():
-    col = {(0,): 0, (1,): 1}
-    assert _primitive_row({(0,): Fraction(6, 5), (1,): Fraction(-4, 5)}, col).tolist() == [3.0, -2.0]
-    with pytest.raises(ResourceLimitError):
-        _primitive_row({(0,): Fraction(2**53), (1,): Fraction(1)}, col)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_laguerre_labels_name_the_sph_basis_rows(n):
+    # row L0^[beta]*h_m_j is a positive multiple of solid harmonic j, which
+    # is row j of sph_basis(n, m)
+    for m in range(7):
+        span = laguerre_harmonic_span(n, m)
+        block = span.matrix[:, -len(multi_indices(n, m)) :]
+        assert not span.matrix[:, : -block.shape[1]][: dim_harmonic(n, m)].any()
+        for j in range(1, dim_harmonic(n, m) + 1):
+            row = block[span.labels.index(f"L0^[{Fraction(n, 2) - 1 + m}]*h_{m}_{j}")]
+            terms = dict(solid_harmonic_poly(n, m, j))
+            poly = np.array([terms.get(e, 0) for e in multi_indices(n, m)], dtype=float)
+            i = np.flatnonzero(poly)[0]
+            assert row[i] * poly[i] > 0 and np.array_equal(row * poly[i], poly * row[i]), (m, j)
+
+
+def test_solid_harmonic_refuses_coefficients_past_2_53():
+    # R_j h at n = 3, s = 16 reaches about 4.4e17; s = 12 stays near 4.1e11
+    assert max(abs(c) for _, c in solid_harmonic_poly(3, 12, 1)) < 2**53
+    with pytest.raises(ResourceLimitError, match="2\\^53"):
+        solid_harmonic_poly(3, 16, 1)
+
+
+def test_laguerre_rows_are_primitive_and_refuse_a_bound_past_2_53(monkeypatch, fresh_spans):
+    for n in (1, 2, 3, 4):
+        for m in range(9):
+            for row in laguerre_harmonic_span(n, m).matrix:
+                assert math.gcd(*map(int, row)) == 1 and np.array_equal(row, np.round(row))
+    # every Laguerre coefficient planted 2^40 times larger: each row divides
+    # the factor out again; 2^53 times larger, the bound passes 2^53
+    want = laguerre_harmonic_span(3, 6).matrix
+    coeffs = ps._laguerre_coeffs_frac
+    for scale, refused in ((2**40, False), (2**53, True)):
+        laguerre_harmonic_span.cache_clear()
+        monkeypatch.setattr(ps, "_laguerre_coeffs_frac", lambda k, beta: [scale * c for c in coeffs(k, beta)])
+        if refused:
+            with pytest.raises(ResourceLimitError, match="2\\^53"):
+                laguerre_harmonic_span(3, 6)
+        else:
+            assert np.array_equal(laguerre_harmonic_span(3, 6).matrix, want)
+
+
+@pytest.mark.parametrize("value", (math.inf, math.nan))
+def test_comparisons_refuse_a_non_finite_span(value):
+    # a non-finite coefficient in any block is a ValueError naming its
+    # generator, with no warning on the way, in both comparisons and on
+    # either side
+    a, b = hermite_span(2, 3), laguerre_harmonic_span(2, 3)
+    for col in (-1, 0):
+        planted = b.matrix.copy()
+        planted[0, col] = value
+        bad = PolySpan(2, 3, b.monomials, planted, b.labels)
+        for compare in (spans_equal, heat_certificate):
+            for pair in ((a, bad), (bad, a)):
+                with pytest.raises(ValueError, match=re.escape(f"generator {b.labels[0]} ")):
+                    compare(*pair)
 
 
 def test_each_generator_lies_in_hermite_span():
@@ -319,7 +403,7 @@ def test_span_caps(monkeypatch):
     # monomial or harmonic is listed
     ps._check_caps(6, 8)
     monkeypatch.setattr(ps, "monomials", lambda *args: pytest.fail("a span past the cap was built"))
-    monkeypatch.setattr(ps, "_harmonic_basis", lambda *args: pytest.fail("a span past the cap was built"))
+    monkeypatch.setattr(ps, "_harmonic_sweep", lambda *args: pytest.fail("a span past the cap was built"))
     for build in (hermite_span, laguerre_harmonic_span):
         with pytest.raises(ResourceLimitError, match="10020010"):
             build(6, 9)
