@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import math
 import os
 import sys
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._tables import open_target, write_table
 from .errors import OutputError, ResourceLimitError
-from .fields import parse_field_id, ScalarField
+from .fields import _parse_spec, parse_field_id, ScalarField
 from .kernels import (
     BenchRecord, kernel_bench, multi_index_count, phi_direct_values, phi_polar_values, polar_term_count
 )
@@ -61,6 +62,8 @@ def _parse_tolerances(pairs, parser):
         try:
             overrides[key] = float(val)
         except ValueError:
+            overrides[key] = math.nan
+        if math.isnan(overrides[key]):
             parser.error(f"--tol {key}: {val!r} is not a number")
     return overrides
 
@@ -127,6 +130,8 @@ def _load_grid_field(path, n, parser):
         if any(len(row) != n + 1 for row in rows):
             raise ValueError(f"every row needs {n + 1} values")
         data = np.array(rows, dtype=float)
+        if not np.isfinite(data).all():
+            raise ValueError("every value must be finite")
     except ValueError as exc:
         parser.error(f"grid file {path}: {exc}")
     if data.size == 0:
@@ -226,30 +231,28 @@ def cmd_decay(args, parser):
     return EXIT_OK
 
 
+# the options each rule kind reads, with their defaults
+_RULES = {
+    "gauss_hermite": {"n": 64},
+    "radial": {"n": 80, "beta": -0.5},
+    "radial_compact": {"n": 48, "radius": 1.0, "panels": 4},
+    "sphere": {"n": 3, "degree": 10},
+    "tensor": {"line_n": 32, "n": 2},
+}
 _RULE_BUILDERS = {
-    "gauss_hermite": lambda o: gauss_hermite(int(o.get("n", 64))),
-    "radial": lambda o: gauss_radial(int(o.get("n", 80)), float(o.get("beta", -0.5))),
-    "radial_compact": lambda o: radial_rule_compact(
-        int(o.get("n", 48)), float(o.get("radius", 1.0)), int(o.get("panels", 4))
-    ),
-    "sphere": lambda o: sphere_rule(int(o.get("n", 3)), int(o.get("degree", 10))),
-    "tensor": lambda o: tensor_rule(gauss_hermite(int(o.get("line_n", 32))), int(o.get("n", 2))),
+    "gauss_hermite": lambda o: gauss_hermite(int(o["n"])),
+    "radial": lambda o: gauss_radial(int(o["n"]), float(o["beta"])),
+    "radial_compact": lambda o: radial_rule_compact(int(o["n"]), float(o["radius"]), int(o["panels"])),
+    "sphere": lambda o: sphere_rule(int(o["n"]), int(o["degree"])),
+    "tensor": lambda o: tensor_rule(gauss_hermite(int(o["line_n"])), int(o["n"])),
 }
 
 
 def _dump_rule(spec, args, parser):
-    kind, _, rest = spec.partition(":")
-    if kind not in _RULE_BUILDERS:
-        parser.error(f"unknown rule kind {kind!r}; options: {sorted(_RULE_BUILDERS)}")
-    opts = {}
-    for item in filter(None, rest.split(",")):
-        key, sep, val = item.partition("=")
-        if not sep:
-            parser.error(f"malformed rule option {item!r}")
-        opts[key.strip()] = val.strip()
     try:
+        kind, opts = _parse_spec(spec, _RULES)
         rule = _RULE_BUILDERS[kind](opts)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         parser.error(f"cannot build rule {spec!r}: {exc}")
     _report(args, "dump-rule", *rule._table())
     return EXIT_OK

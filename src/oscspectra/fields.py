@@ -2,10 +2,12 @@
 catalog of test fields used by the CLI and the verification suites.
 
 Fields are pure evaluators: they take an (npts, n) array of points and
-return an (npts,) array of values.  A declared support radius marks
-compactly supported fields so coefficient extraction can pick a radial
-rule that actually covers the support; a declared band and degree let it
-size every rule to integrate the field exactly.
+return an (npts,) array of values.  ScalarField is the one evaluation
+boundary: it checks the points and feeds its evaluator SWEEP_BLOCK points
+at a time, so nothing below it splits points into blocks.  A declared
+support radius marks compactly supported fields so coefficient extraction
+can pick a radial rule that actually covers the support; a declared band
+and degree let it size every rule to integrate the field exactly.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .harmonics import SWEEP_BLOCK, SolidHarmonic, dim_harmonic, sph_basis, sph_table
-from .special_functions import hermite_fn_multi, laguerre_fn_table
+from .harmonics import SolidHarmonic, _basis_row, dim_harmonic, sph_basis, sph_table
+from .special_functions import _as_points, hermite_fn_multi, laguerre_fn_table
 
 __all__ = [
     "ScalarField",
@@ -39,6 +41,12 @@ __all__ = [
     "parse_field_id",
 ]
 
+# Points per call of a field's evaluator.  Fields are evaluated on grids of
+# up to 64^3 nodes; feeding them in blocks keeps every evaluator's
+# temporaries (sweep rows, Laguerre and Hermite tables) at a few MB instead
+# of tens, which the allocator would otherwise keep resident after the call.
+SWEEP_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -49,6 +57,10 @@ class ScalarField:
     when declared, is deg p for f = p(x) e^{-|x|^2/2} with p a polynomial;
     extraction sizes its line and radial rules from it.  Both are
     nonnegative integers or None (undeclared).
+
+    Calling the field checks the points, (npts, n) or one point of length
+    n (which gives a float), and calls fn on at most SWEEP_BLOCK of them
+    at a time.
     """
 
     n: int
@@ -69,14 +81,10 @@ class ScalarField:
                 raise ValueError(f"{name} must be a nonnegative integer or None, got {value!r}")
 
     def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.n:
-            raise DimensionMismatchError(
-                f"field on R^{self.n} evaluated at points of dimension {pts.shape[1]}"
-            )
-        vals = np.asarray(self.fn(pts), dtype=float)
+        pts, single = _as_points(points, self.n)
+        vals = np.empty(len(pts))
+        for i in range(0, len(pts), SWEEP_BLOCK):
+            vals[i : i + SWEEP_BLOCK] = self.fn(pts[i : i + SWEEP_BLOCK])
         return float(vals[0]) if single else vals
 
 
@@ -124,11 +132,10 @@ def polar_eigenfield(n: int, k: int, s: int, j: int) -> ScalarField:
     """The polar eigenfunction: ell_k^{n/2-1+s}(|x|) times the j-th solid
     harmonic of degree s (1-based j), as a polar series with a single 1 at
     (k, j - 1)."""
-    dim = sph_basis(n, s).dim
-    if k < 0 or not 1 <= j <= dim:
-        raise ValueError(f"k must be >= 0 and j in 1..{dim} for (n, s)=({n}, {s}), got k={k}, j={j}")
-    unit = np.zeros((k + 1, dim))
-    unit[k, j - 1] = 1.0
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got k={k}")
+    unit = np.zeros((k + 1, dim_harmonic(n, s)))
+    unit[k, _basis_row(n, s, j)] = 1.0
     fn = partial(polar_series, n, {s: unit})
     return ScalarField(n, fn, label=f"polar(k={k},s={s},j={j})", band=s, degree=s + 2 * k)
 
@@ -137,27 +144,21 @@ def polar_levels(n: int, matrices: dict, points) -> np.ndarray:
     """The polar expansion level by level at (npts, n) points: row m = s + 2k
     of the (L+1, npts) result is sum_j C_s[k, j] ell_k^{n/2-1+s}(|x|) |x|^s
     Y_{s,j}(x') for (k, j) matrices C_s = matrices[s] up to top level L.
-    Each block of SWEEP_BLOCK points makes one sph_table sweep, one Laguerre
-    table per degree."""
+    All points make one sph_table sweep, one Laguerre table per degree; a
+    field built on it is fed SWEEP_BLOCK points at a time by ScalarField."""
     top = max((s + 2 * len(c) - 2 for s, c in matrices.items()), default=0)
     levels = np.zeros((top + 1, len(points)))
-    for i in range(0, len(points), SWEEP_BLOCK):
-        block = points[i : i + SWEEP_BLOCK]
-        r = np.sqrt(np.einsum("pi,pi->p", block, block))
-        for s, rows in sph_table(n, max(matrices, default=0), block):
-            if s in matrices:
-                ell = laguerre_fn_table(len(matrices[s]) - 1, n / 2.0 - 1.0 + s, r)
-                levels[s : s + 2 * len(ell) : 2, i : i + SWEEP_BLOCK] += ell * (matrices[s] @ rows)
+    r = np.sqrt(np.einsum("pi,pi->p", points, points))
+    for s, rows in sph_table(n, max(matrices, default=0), points):
+        if s in matrices:
+            ell = laguerre_fn_table(len(matrices[s]) - 1, n / 2.0 - 1.0 + s, r)
+            levels[s : s + 2 * len(ell) : 2] += ell * (matrices[s] @ rows)
     return levels
 
 
 def polar_series(n: int, matrices: dict, points) -> np.ndarray:
-    """The polar expansion at (npts, n) points: the level sum of polar_levels,
-    one SWEEP_BLOCK at a time, so no levels x points array outlives a block."""
-    total = np.empty(len(points))
-    for i in range(0, len(points), SWEEP_BLOCK):
-        total[i : i + SWEEP_BLOCK] = polar_levels(n, matrices, points[i : i + SWEEP_BLOCK]).sum(axis=0)
-    return total
+    """The polar expansion at (npts, n) points: the level sum of polar_levels."""
+    return polar_levels(n, matrices, points).sum(axis=0)
 
 
 def radial_harmonic_field(f0: Callable, solid: SolidHarmonic, label: str = "") -> ScalarField:
@@ -221,52 +222,70 @@ _F0 = {"gauss": f0_gauss, "gausspoly": f0_gauss_poly}
 # deg q for each catalog profile f0(r) = q(r) e^{-r^2/2}
 _F0_DEGREE = {f0_gauss: 0, f0_gauss_poly: 6}
 
+# the options each catalog kind reads, with their defaults
+_CATALOG = {
+    "gauss": {},
+    "bump": {"R": 1.0},
+    "truncgauss": {"R": 1.0},
+    "hermite": {"gamma": None},
+    "polar": {"k": 0, "s": 0, "j": 1},
+    "hecke": {"M": 0, "K": 0, "f0": "gauss"},
+}
+
+
+def _parse_spec(spec: str, kinds: dict) -> tuple[str, dict]:
+    """Split ``KIND:K=V,...`` into KIND and its options: kinds[KIND] holds
+    the keys that kind reads with their defaults, and each K=V given
+    replaces a default by the string V.  An unknown kind, a malformed item
+    or a key the kind does not read raises ValueError naming it; a comma
+    inside parentheses does not split."""
+    kind, _, rest = spec.partition(":")
+    if kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}; options: {sorted(kinds)}")
+    opts = dict(kinds[kind])
+    for item in re.split(r",(?![^()]*\))", rest) if rest else ():
+        key, sep, val = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise ValueError(f"malformed option {item!r}")
+        if key not in opts:
+            raise ValueError(f"{kind} reads no option {key!r}; its options: {sorted(opts) or 'none'}")
+        opts[key] = val
+    return kind, opts
+
 
 def parse_field_id(spec: str, n: int, rng: Optional[np.random.Generator] = None):
     """Resolve a catalog id like ``gauss``, ``bump:R=1``,
     ``hermite:gamma=(1,1)``, ``polar:k=1,s=2,j=1`` or
-    ``hecke:M=2,K=1,f0=gauss`` into a ScalarField.
+    ``hecke:M=2,K=1,f0=gauss`` into a ScalarField; an option its kind does
+    not read raises ValueError.
 
     For ``hecke`` ids the returned field is f0(|x|) Y(x) with a seeded random
     solid harmonic Y of degree M; the natural projection level M + 2K is
     attached as ``field.natural_level`` metadata in the second return slot.
     """
     rng = rng or np.random.default_rng(0)
-    name, _, rest = spec.partition(":")
-    opts = {}
-    if rest:
-        for item in re.split(r",(?![^()]*\))", rest):
-            key, _, val = item.partition("=")
-            if not _ or not key:
-                raise ValueError(f"malformed catalog option {item!r} in {spec!r}")
-            opts[key.strip()] = val.strip()
+    name, opts = _parse_spec(spec, _CATALOG)
     if name == "gauss":
         return gaussian_field(n), None
     if name == "bump":
-        return bump_field(n, radius=float(opts.get("R", 1.0))), None
+        return bump_field(n, radius=float(opts["R"])), None
     if name == "truncgauss":
-        return truncated_gaussian_field(n, radius=float(opts.get("R", 1.0))), None
+        return truncated_gaussian_field(n, radius=float(opts["R"])), None
     if name == "hermite":
-        gamma = opts.get("gamma")
-        if gamma is None:
+        if opts["gamma"] is None:
             raise ValueError("hermite catalog id needs gamma=(..)")
-        alpha = tuple(int(v) for v in gamma.strip("()").split(",") if v != "")
+        alpha = tuple(int(v) for v in opts["gamma"].strip("()").split(",") if v != "")
         if len(alpha) != n:
             raise DimensionMismatchError(f"gamma={alpha} does not match n={n}")
         return hermite_eigenfield(alpha), sum(alpha)
     if name == "polar":
-        k, s, j = int(opts.get("k", 0)), int(opts.get("s", 0)), int(opts.get("j", 1))
+        k, s, j = (int(opts[key]) for key in "ksj")
         return polar_eigenfield(n, k, s, j), s + 2 * k
-    if name == "hecke":
-        big_m, big_k = int(opts.get("M", 0)), int(opts.get("K", 0))
-        if big_k < 0:
-            raise ValueError(f"K must be a nonnegative integer, got {big_k}")
-        f0_name = opts.get("f0", "gauss")
-        if f0_name not in _F0:
-            raise ValueError(f"unknown f0 {f0_name!r}; options: {sorted(_F0)}")
-        solid = random_solid_harmonic(n, big_m, rng)
-        field = radial_harmonic_field(
-            _F0[f0_name], solid, label=f"hecke(M={big_m},K={big_k},f0={f0_name})"
-        )
-        return field, big_m + 2 * big_k
-    raise ValueError(f"unknown catalog id {spec!r}")
+    big_m, big_k = int(opts["M"]), int(opts["K"])  # hecke
+    if big_k < 0:
+        raise ValueError(f"K must be a nonnegative integer, got {big_k}")
+    if opts["f0"] not in _F0:
+        raise ValueError(f"unknown f0 {opts['f0']!r}; options: {sorted(_F0)}")
+    solid = random_solid_harmonic(n, big_m, rng)
+    field = radial_harmonic_field(_F0[opts["f0"]], solid, label=f"hecke(M={big_m},K={big_k},f0={opts['f0']})")
+    return field, big_m + 2 * big_k

@@ -19,11 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateDegreeError, DimensionMismatchError
-from .special_functions import _gegenbauer_b, _gegenbauer_family, _gegenbauer_p0, _orthonormal_table
+from .errors import DegenerateDegreeError
+from .special_functions import _as_points, _gegenbauer_b, _gegenbauer_family, _gegenbauer_p0, _orthonormal_table
 
 __all__ = [
-    "SWEEP_BLOCK",
     "surface_measure",
     "dim_harmonic",
     "zonal",
@@ -103,15 +102,6 @@ def zonal(n: int, s: int, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _as_points(points, n):
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != n:
-        raise DimensionMismatchError(f"points have dimension {pts.shape[1]}, expected {n}")
-    return pts, single
-
-
 def sph_table(n: int, s_max: int, points):
     """Solid harmonics |x|^s Y_{s,j}(x') for s = 0..s_max from one sweep over
     the degree: yields (s, rows), rows of shape (d_s, npts) in sph_basis
@@ -128,7 +118,9 @@ def sph_table(n: int, s_max: int, points):
          associated-Legendre harmonics, order m = 0, then cos and sin of
          m phi for m = 1..s (no Condon-Shortley sign).
     Every row is a polynomial in the coordinates, so no angle is formed,
-    nothing is divided by |x|, and the origin is exact.
+    nothing is divided by |x|, and the origin is exact.  All points go
+    through one sweep; fields split large point sets into blocks
+    (ScalarField).
     """
     dim_harmonic(n, s_max)  # refuses n < 1 and s_max < 0
     return _sweep(n, s_max, _as_points(points, n)[0])
@@ -201,17 +193,12 @@ def _chain(n: int, z, r2, lower):
         yield s, cur
 
 
-# Points per sph_table sweep when a field is evaluated.  Fields are evaluated
-# on grids of up to 64^3 nodes; sweeping them in blocks keeps the sweep's
-# rows at a few MB instead of tens, which the allocator would otherwise keep
-# resident after the call.
-SWEEP_BLOCK = 1 << 14
-
-
 @dataclass(frozen=True)
 class SolidHarmonic:
     """The degree-s solid harmonic sum_j c_j |x|^s Y_{s,j}(x') of coefficients
-    c in the basis sph_basis(n, s)."""
+    c in the basis sph_basis(n, s), from one sph_table sweep over all its
+    points; a field built on it (radial_harmonic_field) is fed in blocks by
+    ScalarField."""
 
     n: int
     degree: int
@@ -219,11 +206,9 @@ class SolidHarmonic:
 
     def __call__(self, points):
         pts, single = _as_points(points, self.n)
-        vals = np.empty(len(pts))
-        for i in range(0, len(pts), SWEEP_BLOCK):
-            for _, rows in sph_table(self.n, self.degree, pts[i : i + SWEEP_BLOCK]):
-                pass
-            vals[i : i + SWEEP_BLOCK] = self.coeffs @ rows
+        for _, rows in sph_table(self.n, self.degree, pts):
+            pass
+        vals = self.coeffs @ rows
         return float(vals[0]) if single else vals
 
 
@@ -260,9 +245,15 @@ def sph_basis(n: int, s: int) -> HarmonicBasis:
     return HarmonicBasis(n, s, dim_harmonic(n, s))
 
 
+def _basis_row(n: int, s: int, j: int) -> int:
+    """The row of sph_basis(n, s) that holds its j-th (1-based) harmonic:
+    DegenerateDegreeError when d_s = 0, ValueError for j outside 1..d_s."""
+    dim = sph_basis(n, s).dim
+    if not 1 <= j <= dim:
+        raise ValueError(f"j must lie in 1..{dim} for (n, s)=({n}, {s})")
+    return j - 1
+
+
 def solid_harmonic(n: int, s: int, j: int, points) -> np.ndarray:
     """The j-th (1-based) basis solid harmonic |x|^s Y_{s,j}(x') at points."""
-    basis = sph_basis(n, s)
-    if not 1 <= j <= basis.dim:
-        raise ValueError(f"j must lie in 1..{basis.dim} for (n, s)=({n}, {s})")
-    return basis.evaluate_all(points)[j - 1]
+    return sph_basis(n, s).evaluate_all(points)[_basis_row(n, s, j)]

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._tables import write_table
 from .errors import ResourceLimitError
-from .harmonics import dim_harmonic
+from .harmonics import _basis_row, dim_harmonic
 from .kernels import multi_index_count, multi_indices
 from .quadrature import _TENSOR_CAP, _check_size
 
@@ -198,8 +198,10 @@ def _harmonic_sweep(n: int, s_max: int):
 def solid_harmonic_poly(n: int, s: int, j: int) -> tuple:
     """The j-th (1-based) exact degree-s solid harmonic: row j of
     ``sph_table`` times a positive factor, as (exponent, int) pairs over the
-    monomials of degree s, exponents descending."""
-    row = dict(_harmonic_sweep(n, s))[s][j - 1]
+    monomials of degree s, exponents descending; j outside 1..d_s raises
+    as ``harmonics.solid_harmonic`` does."""
+    index = _basis_row(n, s, j)
+    row = dict(_harmonic_sweep(n, s))[s][index]
     return tuple((e, int(c)) for e, c in zip(multi_indices(n, s), row) if c)
 
 

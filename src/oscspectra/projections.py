@@ -25,7 +25,7 @@ import numpy as np
 from ._tables import write_table
 from .errors import ContractViolationError, IntegrabilityError, ResourceLimitError
 from .fields import ScalarField, polar_eigenvalue, polar_levels, polar_series
-from .harmonics import SWEEP_BLOCK, SolidHarmonic, _chain, dim_harmonic, sph_table
+from .harmonics import SolidHarmonic, _chain, dim_harmonic, sph_table
 from .kernels import multi_indices
 from .quadrature import (
     _check_size,
@@ -159,14 +159,12 @@ def hermite_coeffs(f: ScalarField, m_max: int) -> SpectralCoefficients:
     return SpectralCoefficients(n, "hermite", m_max, tensor=c)
 
 
-def _hermite_blocks(alphas: np.ndarray, top: int, points: np.ndarray):
+def _hermite_rows(alphas: np.ndarray, top: int, points: np.ndarray) -> np.ndarray:
     """h_alpha(x) = prod_d h_{alpha_d}(x_d) for each row alpha of (N, n)
-    alphas, entries <= top, at (npts, n) points: one (N, block) array per
-    block of SWEEP_BLOCK points, each from one hermite_table."""
-    for i in range(0, max(len(points), 1), SWEEP_BLOCK):
-        block = points[i : i + SWEEP_BLOCK]
-        table = hermite_table(top, block.ravel()).reshape(top + 1, *block.shape)
-        yield reduce(np.multiply, (table[a, :, d] for d, a in enumerate(alphas.T)))
+    alphas, entries <= top, at (npts, n) points: one (N, npts) array from
+    one hermite_table."""
+    table = hermite_table(top, points.ravel()).reshape(top + 1, *points.shape)
+    return reduce(np.multiply, (table[a, :, d] for d, a in enumerate(alphas.T)))
 
 
 def hermite_levels(tensor: np.ndarray, points) -> np.ndarray:
@@ -174,13 +172,13 @@ def hermite_levels(tensor: np.ndarray, points) -> np.ndarray:
     (L+1, npts) result is sum_{|alpha|=m} c_alpha h_alpha(x) for a tensor c
     of shape (L+1,)^n, or tensors stacked on leading axes, which give rows
     stacked the same way.  c is gathered over the simplex |alpha| <= L only,
-    one block of SWEEP_BLOCK points at a time."""
+    and all points share one hermite_table; the projection fields of
+    ``project`` are fed in blocks by ScalarField."""
     n, top = points.shape[1], tensor.shape[-1] - 1
     alphas = np.array([a for m in range(top + 1) for a in multi_indices(n, m)])
     starts = [math.comb(m + n - 1, n) for m in range(top + 1)]  # #{|alpha| < m}
     c = tensor[(...,) + tuple(alphas.T)][..., None]
-    blocks = _hermite_blocks(alphas, top, points)
-    return np.concatenate([np.add.reduceat(c * v, starts, axis=-2) for v in blocks], axis=-1)
+    return np.add.reduceat(c * _hermite_rows(alphas, top, points), starts, axis=-2)
 
 
 @lru_cache(maxsize=None)
@@ -195,18 +193,19 @@ def default_radial_rules(
     floor(d/4) + 1 nodes, the fewest that integrate it exactly (p is of
     degree d/2 in t = r^2); without one it has RADIAL_N nodes.  Compactly
     supported fields get a composite Gauss-Legendre rule on [0, R], whose
-    nodes actually cover the support, with r^{n-1} folded into its weights.
-    Memoized like the rule builders, so each (n, R) pays for its Legendre
-    eigensolve once.
+    nodes actually cover the support, with r^{n-1} folded into its weights;
+    a radius whose folded weights leave float64 range raises
+    ResourceLimitError.  Memoized like the rule builders, so each (n, R)
+    pays for its Legendre eigensolve once.
     """
     if support_radius is None:
         return gauss_radial(RADIAL_N if degree is None else degree // 4 + 1, n / 2.0 - 1.0)
     rule = radial_rule_compact(_COMPACT_N, support_radius, panels=_COMPACT_PANELS)
-    return dataclasses.replace(
-        rule,
-        weights=rule.weights * rule.nodes ** (n - 1),
-        domain_tag=f"{rule.domain_tag}*r^{n - 1}",
-    )
+    with np.errstate(over="ignore", under="ignore"):
+        weights = rule.weights * rule.nodes ** (n - 1)
+    if not np.all((weights > 0) & (weights < np.inf)):
+        raise ResourceLimitError(f"{rule.domain_tag}*r^{n - 1} at n={n}: the weights leave float64 range")
+    return dataclasses.replace(rule, weights=weights, domain_tag=f"{rule.domain_tag}*r^{n - 1}")
 
 
 class _ExtractionOperator(NamedTuple):
@@ -333,7 +332,7 @@ def project(
         # the |alpha| = m face of the gather hermite_levels makes over the simplex
         face = np.array(multi_indices(n, m))
         c = coeffs.tensor[tuple(face.T)]
-        fn = lambda pts: np.concatenate([c @ v for v in _hermite_blocks(face, m, pts)])
+        fn = lambda pts: c @ _hermite_rows(face, m, pts)
     elif basis == "polar":
         # degrees s = m - 2k cut at row k: the top level is m, or a zero row if none
         matrices = {s: c[: (m - s) // 2 + 1] for s, c in coeffs.matrices.items() if s <= m and (m - s) % 2 == 0}

@@ -52,6 +52,17 @@ def _as_float_array(x):
     return arr, arr.ndim == 0
 
 
+def _as_points(points, n: int):
+    """points as a float (npts, n) array, and whether they were one point of
+    length n; any other dimension raises DimensionMismatchError."""
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
+    if pts.shape[1] != n:
+        raise DimensionMismatchError(f"points have dimension {pts.shape[1]}, expected {n}")
+    return pts, single
+
+
 def _hermite_family(kmax: int):
     """Hermite functions h_k, w = e^{-x^2} on the line."""
     b = [math.sqrt(k / 2.0) for k in range(1, kmax + 1)]
@@ -251,15 +262,8 @@ def hermite_fn_multi(alpha, x):
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-    n = len(alpha)
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != n:
-        raise DimensionMismatchError(
-            f"point dimension {pts.shape[1]} != multi-index dimension {n}"
-        )
-    vals = np.ones(pts.shape[0])
+    pts, single = _as_points(x, len(alpha))
+    vals = np.ones(len(pts))
     for d, a in enumerate(alpha):
         vals = vals * hermite_fn(a, pts[:, d])
     return float(vals[0]) if single else vals

@@ -104,6 +104,14 @@ def test_verify_unknown_tolerance_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_nan_tolerance_is_usage_error(capsys):
+    # a NaN bound would fail its row with exit 1, as if the identity failed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "1", "--tol", "eq=nan"])
+    assert exc.value.code == 2
+    assert "'nan' is not a number" in capsys.readouterr().err
+
+
 def test_verify_json_schema(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -304,6 +312,31 @@ def test_polar_extraction_past_float64_range_exits_3(capsys):
     assert "n=2, m_max=300" in err and "s=" in err and "Traceback" not in err
 
 
+def test_compact_weights_past_float64_range_exit_3(capsys):
+    # r^{n-1} folded into the weights of a radial rule on [0, 1e300] overflows
+    code, out, err = run_cli(["project", "--n", "2", "--field", "bump:R=1e300", "--m", "0"], capsys)
+    assert code == 3 and out == ""
+    assert "float64 range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["project", "--n", "2", "--field", "bump:r=2", "--m", "0"], "r"),
+        (["decay", "--n", "2", "--field", "gauss:R=2"], "R"),
+        (["--dump-rule", "sphere:n=2,deg=4"], "deg"),
+    ],
+    ids=["bump-r", "gauss-R", "dump-rule-deg"],
+)
+def test_option_its_kind_does_not_read_is_usage_error_naming_it(argv, key, capsys):
+    # each would otherwise run on the default it meant to replace
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"reads no option {key!r}" in err
+
+
 @pytest.mark.parametrize("n", (1, 3))
 @pytest.mark.parametrize("field", ("hecke:M=0,K=-3", "hecke:M=2,K=-1"))
 def test_negative_hecke_k_is_usage_error(field, n, capsys):
@@ -409,8 +442,10 @@ def test_import_builds_no_extraction_operator():
         b"x1,x2,value\n0,0,1\n0,1\n",
         b"x1,x2,value\n0,0\n1,1\n",
         b"x1,x2,value\n0,\xff,1\n",
+        b"x1,x2,value\n0,0,1\n1,0,nan\n0,1,2\n",
+        b"x1,x2,value\n0,0,1\n1,0,inf\n0,1,2\n",
     ],
-    ids=["missing", "non-numeric", "short-row", "short-rows", "not-utf8"],
+    ids=["missing", "non-numeric", "short-row", "short-rows", "not-utf8", "nan", "inf"],
 )
 def test_project_bad_grid_file_is_usage_error_naming_the_file(content, tmp_path, capsys):
     path = tmp_path / "grid.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oscspectra.errors import DegenerateDegreeError
+from oscspectra.fields import f0_gauss, radial_harmonic_field
 from oscspectra.harmonics import (
     dim_harmonic,
     solid_harmonic,
@@ -222,13 +223,15 @@ def test_basis_combination_matches_manual_sum():
 
 
 def test_solid_harmonic_in_blocks_matches_one_sweep():
-    # more points than one evaluation block, with a ragged last block
+    # a field on a solid harmonic is fed more points than one evaluation
+    # block, with a ragged last block, and matches one sweep over them all
     basis = sph_basis(3, 4)
     rng = np.random.default_rng(32)
     c = rng.standard_normal(basis.dim)
     pts = rng.uniform(-2, 2, size=(40_000, 3))
-    want = c @ basis.evaluate_all(pts)
-    assert np.abs(basis.combination(c)(pts) - want).max() <= 1e-14 * np.abs(want).max()
+    want = f0_gauss(np.linalg.norm(pts, axis=1)) * (c @ basis.evaluate_all(pts))
+    got = radial_harmonic_field(f0_gauss, basis.combination(c))(pts)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _table_points(n, rng):

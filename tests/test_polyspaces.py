@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oscspectra.polyspaces as ps
-from oscspectra.errors import ResourceLimitError
+from oscspectra.errors import DegenerateDegreeError, ResourceLimitError
 from oscspectra.harmonics import dim_harmonic, sph_table
 from oscspectra.kernels import multi_indices
 from oscspectra.polyspaces import (
@@ -326,6 +326,16 @@ def test_laguerre_labels_name_the_sph_basis_rows(n):
             poly = np.array([terms.get(e, 0) for e in multi_indices(n, m)], dtype=float)
             i = np.flatnonzero(poly)[0]
             assert row[i] * poly[i] > 0 and np.array_equal(row * poly[i], poly * row[i]), (m, j)
+
+
+def test_solid_harmonic_poly_refuses_an_index_outside_the_basis():
+    # the errors of harmonics.solid_harmonic, not a silent negative index,
+    # a bare IndexError or a bare KeyError
+    for j in (0, 6):
+        with pytest.raises(ValueError, match="1\\.\\.5"):
+            solid_harmonic_poly(3, 2, j)
+    with pytest.raises(DegenerateDegreeError):
+        solid_harmonic_poly(1, 2, 1)
 
 
 def test_solid_harmonic_refuses_coefficients_past_2_53():

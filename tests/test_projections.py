@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oscspectra.errors import ContractViolationError, IntegrabilityError, ResourceLimitError
+from oscspectra.errors import ContractViolationError, DimensionMismatchError, IntegrabilityError, ResourceLimitError
 from oscspectra.fields import (
+    SWEEP_BLOCK,
     ScalarField,
     parse_field_id,
     bump_field,
@@ -22,7 +23,7 @@ from oscspectra.fields import (
     random_solid_harmonic,
     truncated_gaussian_field,
 )
-from oscspectra.harmonics import SWEEP_BLOCK, sph_basis
+from oscspectra.harmonics import sph_basis
 from oscspectra.quadrature import sphere_rule
 from oscspectra.projections import (
     _extraction_operator,
@@ -918,17 +919,36 @@ def test_hermite_levels_rows_are_the_projections(n):
     assert np.array_equal(stacked[1], hermite_levels(other, pts))
 
 
+def test_field_feeds_its_evaluator_in_blocks():
+    # ScalarField alone splits points: SWEEP_BLOCK + 3 points are two calls
+    # whose values match one unblocked call; no points make no call, and
+    # one point of length n gives a float
+    calls = []
+
+    def fn(p):
+        calls.append(len(p))
+        return np.cos(p[:, 0] - 2.0 * p[:, 1])
+
+    f = ScalarField(2, fn)
+    pts = np.random.default_rng(9).uniform(-2.0, 2.0, size=(SWEEP_BLOCK + 3, 2))
+    assert np.array_equal(f(pts), np.cos(pts[:, 0] - 2.0 * pts[:, 1])) and calls == [SWEEP_BLOCK, 3]
+    calls.clear()
+    assert f(pts[:0]).shape == (0,) and calls == []
+    value = f([0.5, 0.25])
+    assert isinstance(value, float) and value == 1.0 and calls == [1]
+    with pytest.raises(DimensionMismatchError, match="points have dimension 3, expected 2"):
+        f(np.zeros((4, 3)))
+
+
 def test_hermite_evaluators_work_block_by_block():
-    # past SWEEP_BLOCK points each block is evaluated on its own, and no
-    # points give empty rows
+    # a Hermite projection fed past SWEEP_BLOCK points in blocks matches one
+    # hermite_levels pass over all of them, and no points give empty rows
     f, _ = random_band_limited(2, 4, np.random.default_rng(7))
     coeffs = hermite_coeffs(f, 4)
     pts = np.random.default_rng(8).uniform(-2.0, 2.0, size=(SWEEP_BLOCK + 3, 2))
-    head, tail = pts[:SWEEP_BLOCK], pts[SWEEP_BLOCK:]
     levels = hermite_levels(coeffs.tensor, pts)
-    assert np.array_equal(levels, np.hstack([hermite_levels(coeffs.tensor, head), hermite_levels(coeffs.tensor, tail)]))
     proj = project(f, 3, "hermite", coeffs)
-    assert np.array_equal(proj(pts), np.concatenate([proj(head), proj(tail)]))
+    assert np.abs(proj(pts) - levels[3]).max() <= 1e-14 * np.abs(levels[3]).max()
     assert hermite_levels(coeffs.tensor, pts[:0]).shape == (5, 0) and proj(pts[:0]).shape == (0,)
 
 
