@@ -102,7 +102,8 @@ def bump_field(n: int, radius: float = 1.0) -> ScalarField:
     """Smooth compactly supported bump exp(-1/(1-|x/R|^2)) on |x| < R."""
 
     def fn(p, radius=radius):
-        q = np.einsum("pi,pi->p", p, p) / (radius * radius)
+        p = p / radius  # |x/R|^2, since R^2 underflows below R of about 1e-154
+        q = np.einsum("pi,pi->p", p, p)
         out = np.zeros(len(p))
         inside = q < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - q[inside]))

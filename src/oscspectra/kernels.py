@@ -4,8 +4,11 @@ zonal-collapsed sum with floor(m/2) + 1 terms.  Their pointwise equality is
 the library's central certified identity, and the term-count asymmetry is
 exposed as a benchmark.  The direct sum is taken as nested per-axis sums,
 without listing multi-indices: O(n m^2) work and O(n m) memory per pair.
-The polar sum takes all its Laguerre and zonal factors from one recurrence
-each: O(m) work and memory per pair.
+From n = 3 on, its per-axis tables are laid out pair-major, and each
+truncated convolution fills one output coefficient per call with one
+contiguous row dot product per pair, over blocks of pairs small enough to
+stay in the L2 cache.  The polar sum takes all its Laguerre and zonal
+factors from one recurrence each: O(m) work and memory per pair.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .harmonics import zonal_table
 from .quadrature import _TENSOR_CAP, _check_size
-from .special_functions import hermite_table, laguerre_antidiagonal_table
+from .special_functions import _as_points, hermite_table, laguerre_antidiagonal_table
 
 __all__ = [
     "KernelResult",
@@ -34,6 +37,12 @@ __all__ = [
     "BenchRecord",
     "kernel_bench",
 ]
+
+# Bytes per axis of one block of pairs in the direct sum: 2^16 float64
+# coefficients, so the running product and the axis convolved into it stay
+# in L2 at every m.  Smaller blocks pay Python overhead per call, and one
+# block for 1000 pairs at m = 200 spills to L3 and is 1.5 times slower.
+_BLOCK_BYTES = 2**19
 
 # Polar summands below e^-700 (about 1e-304) are dropped: np.exp is many
 # times slower where its result would be subnormal.
@@ -76,11 +85,11 @@ def _check_points(n, m, x, y):
         raise ValueError(f"dimension must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"level must be nonnegative, got {m}")
-    x = np.asarray(x, dtype=float).reshape(-1, n)
-    y = np.asarray(y, dtype=float).reshape(-1, n)
+    x, _ = _as_points(x, n)
+    y, _ = _as_points(y, n)
     if x.shape != y.shape:
         raise ValueError("x and y batches must have matching shapes")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("kernel arguments must be finite")
     return x, y
 
@@ -91,20 +100,41 @@ def phi_direct_values(n: int, m: int, x, y) -> np.ndarray:
     prod_d sum_k p_d[k] z^k with p_d[k] = h_k(x_d) h_k(y_d): n - 2 truncated
     convolutions, then a dot product with the reversed last axis.  Every term
     is summed, in O(n m^2) work and O(n m) memory per pair.
+
+    For n >= 3 the tables are copied pair-major into rows[d, pair, k], with
+    every axis after the first reversed in k, so coefficient k of a
+    convolution is one contiguous row dot per pair, acc[:, :k+1] . q[:, m-k:]
+    with q reversed.  The convolutions run on blocks of pairs holding
+    _BLOCK_BYTES of coefficients per axis.
     """
     x, y = _check_points(n, m, x, y)
-    p = (hermite_table(m, x.ravel()) * hermite_table(m, y.ravel())).reshape(m + 1, -1, n)
-    # acc[i] = sum over (a_1..a_d) with a_1 + ... + a_d = i of p_1[a_1]...p_d[a_d]
-    acc = p[:, :, 0]
-    for d in range(1, n - 1):
-        q = p[:, :, d]
-        nxt = np.zeros_like(acc)
-        for i in range(m + 1):
-            nxt[i:] += acc[i] * q[: m + 1 - i]
-        acc = nxt
+    # two (m+1, npts*n) tables at most: the product goes into the first, and
+    # the pair-major copy below replaces it
+    p = hermite_table(m, x.ravel())
+    p *= hermite_table(m, y.ravel())
+    p = p.reshape(m + 1, -1, n)
     if n == 1:
-        return acc[m]
-    return np.einsum("ip,ip->p", acc, p[::-1, :, n - 1])
+        return p[m, :, 0]
+    if n == 2:
+        # no convolution: the pair-major copy would cost more than it saves
+        return np.einsum("ip,ip->p", p[:, :, 0], p[::-1, :, 1])
+    npts = p.shape[1]
+    rows = np.empty((n, npts, m + 1))
+    rows[0] = p[:, :, 0].T
+    rows[1:] = p[::-1, :, 1:].T
+    del p
+    out = np.empty(npts)
+    block = max(1, _BLOCK_BYTES // (rows.itemsize * (m + 1)))
+    for lo in range(0, npts, block):
+        # acc[:, i] = sum over (a_1..a_d) with a_1 + ... + a_d = i of p_1[a_1]...p_d[a_d]
+        acc = rows[0, lo : lo + block]
+        for q in rows[1 : n - 1, lo : lo + block]:
+            nxt = np.empty_like(acc)
+            for k in range(m + 1):
+                nxt[:, k] = np.vecdot(acc[:, : k + 1], q[:, m - k :])
+            acc = nxt
+        out[lo : lo + block] = np.vecdot(acc, rows[n - 1, lo : lo + block])
+    return out
 
 
 def phi_direct(n: int, m: int, x, y) -> KernelResult:

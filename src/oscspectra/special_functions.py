@@ -58,6 +58,8 @@ def _as_points(points, n: int):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
+    if pts.ndim > 2:
+        raise DimensionMismatchError(f"points have shape {pts.shape}, expected (npts, {n})")
     if pts.shape[1] != n:
         raise DimensionMismatchError(f"points have dimension {pts.shape[1]}, expected {n}")
     return pts, single

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oscspectra.errors import ResourceLimitError
+from oscspectra import kernels
+from oscspectra.errors import DimensionMismatchError, ResourceLimitError
 from oscspectra.kernels import (
     kernel_bench,
     multi_index_count,
@@ -68,9 +69,10 @@ def test_phi_direct_symmetric():
     )
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
-def test_phi_direct_matches_enumerated_sum(n):
-    # the explicit sum over multi_indices is the oracle for the nested grouping
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_phi_direct_matches_enumerated_sum(n, monkeypatch):
+    # the explicit sum over multi_indices is the oracle for the nested grouping;
+    # from n = 3 on the 7 pairs also run in blocks of 3, 3 and 1 pairs
     rng = np.random.default_rng(200 + n)
     x = np.vstack([np.zeros(n), rng.uniform(-3, 3, size=(6, n))])
     y = np.vstack([rng.uniform(-3, 3, size=(1, n)), np.zeros(n), rng.uniform(-3, 3, size=(5, n))])
@@ -78,6 +80,15 @@ def test_phi_direct_matches_enumerated_sum(n):
         terms = np.array([hermite_fn_multi(a, x) * hermite_fn_multi(a, y) for a in multi_indices(n, m)])
         got = phi_direct_values(n, m, x, y)
         assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0))
+        if n >= 3:
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_BLOCK_BYTES", 3 * 8 * (m + 1))
+                assert np.array_equal(phi_direct_values(n, m, x, y), got)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_phi_direct_empty_batch(n):
+    assert phi_direct_values(n, 5, np.empty((0, n)), np.empty((0, n))).shape == (0,)
 
 
 def test_phi_direct_n6_m40_matches_polar():
@@ -94,6 +105,18 @@ def test_phi_direct_n6_m40_matches_polar():
 def test_kernel_values_reject_bad_dimension_or_level(fn, n, m):
     with pytest.raises(ValueError):
         fn(n, m, np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("fn", (phi_direct_values, phi_polar_values))
+@pytest.mark.parametrize(
+    "n, x_shape, y_shape",
+    ((3, (3, 2), (3, 2)), (2, (2, 3), (3, 2)), (3, (2, 2, 3), (2, 2, 3)), (1, (3,), (3,))),
+)
+def test_kernel_values_refuse_wrong_dimension_batches(fn, n, x_shape, y_shape):
+    # a batch is never reshaped into points of another dimension; at n = 1 a
+    # 1-D array of length 3 is one point of dimension 3, as in ScalarField
+    with pytest.raises(DimensionMismatchError):
+        fn(n, 2, np.ones(x_shape), np.ones(y_shape))
 
 
 def _rel(a, b):

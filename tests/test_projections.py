@@ -231,6 +231,13 @@ def test_declared_band_sizes_the_sphere_rule():
     assert np.abs(project(undeclared, 2, "polar")(pts)).max() > 1e-6
 
 
+def test_bump_field_at_a_tiny_radius_stays_finite():
+    # R^2 underflows to 0 for R = 1e-200; |x/R|^2 does not (warnings are errors)
+    pts = np.array([[0.0, 0.0, 0.0], [5e-201, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    got = bump_field(3, 1e-200)(pts)
+    assert np.array_equal(got, [math.exp(-1.0), math.exp(-1.0 / 0.75), 0.0])
+
+
 def test_fields_declare_their_band(monkeypatch):
     rng = np.random.default_rng(5)
     solid = random_solid_harmonic(3, 3, rng)
